@@ -188,13 +188,14 @@ ConfigTable::serialize(std::ostream &out) const
     // with indeterminate bytes, and serialized tables must be
     // byte-for-byte deterministic across host thread counts.
     bio::writePod<uint64_t>(out, uint64_t(_entries.size()));
+    bio::BufferedWriter w(out);
     for (const ConfigEntry &e : _entries) {
-        bio::writePod<uint8_t>(out, uint8_t(e.dp));
-        bio::writePod<uint32_t>(out, e.inxIn);
-        bio::writePod<int64_t>(out, e.inxOut);
-        bio::writePod<uint8_t>(out, uint8_t(e.order));
-        bio::writePod<uint8_t>(out, uint8_t(e.op));
-        bio::writePod<uint32_t>(out, e.blockId);
+        w.pod<uint8_t>(uint8_t(e.dp));
+        w.pod<uint32_t>(e.inxIn);
+        w.pod<int64_t>(e.inxOut);
+        w.pod<uint8_t>(uint8_t(e.order));
+        w.pod<uint8_t>(uint8_t(e.op));
+        w.pod<uint32_t>(e.blockId);
     }
 }
 

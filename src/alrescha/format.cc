@@ -311,11 +311,14 @@ LocallyDenseMatrix::serialize(std::ostream &out) const
     // indeterminate, and the serialized form must be byte-for-byte
     // deterministic (the parallel-encode tests compare it directly).
     bio::writePod<uint64_t>(out, uint64_t(_blocks.size()));
-    for (const LdBlockInfo &blk : _blocks) {
-        bio::writePod<uint32_t>(out, blk.blockRow);
-        bio::writePod<uint32_t>(out, blk.blockCol);
-        bio::writePod<uint64_t>(out, uint64_t(blk.offset));
-        bio::writePod<uint32_t>(out, blk.size);
+    {
+        bio::BufferedWriter w(out);
+        for (const LdBlockInfo &blk : _blocks) {
+            w.pod<uint32_t>(blk.blockRow);
+            w.pod<uint32_t>(blk.blockCol);
+            w.pod<uint64_t>(uint64_t(blk.offset));
+            w.pod<uint32_t>(blk.size);
+        }
     }
     bio::writeVec(out, _blockRowPtr);
     bio::writeVec(out, _stream);

@@ -304,6 +304,15 @@ serve(ServeFleet &fleet, const std::vector<ServeRequest> &trace,
     if (cfg.metrics != nullptr)
         sm.bind(*cfg.metrics, fleet);
 
+    // Every plan numbers each matrix's items from 0, so each drain
+    // starts the gates over; a second drain on the same fleet would
+    // otherwise wait forever for a sequence number the last one passed.
+    for (size_t i = 0; i < fleet.size(); ++i) {
+        ServeFleet::Entry &entry = fleet.entry(i);
+        std::lock_guard<std::mutex> lock(entry.mutex);
+        entry.nextSeq = 0;
+    }
+
     RequestQueue<QueuedItem> queue(cfg.queueDepth);
     int threads = std::max(1, cfg.threads);
     std::mutex tallyMutex;

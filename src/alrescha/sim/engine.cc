@@ -26,9 +26,10 @@ namespace alr {
 using profile::Cause;
 
 /** Header of the persisted schedule-cache format ("Alrescha schedule
- *  cache", version 1).  Bump on any layout change. */
+ *  cache").  Bump on any layout or hash change; version 2 moved the
+ *  content keys and the body checksum from FNV-1a to the word hash. */
 constexpr uint32_t kSchedCacheMagic = 0xA15ECAC1;
-constexpr uint32_t kSchedCacheVersion = 1;
+constexpr uint32_t kSchedCacheVersion = 2;
 
 Engine::Engine(const AccelParams &params)
     : _params(params), _memory(params), _fcu(params),
@@ -110,12 +111,23 @@ Engine::scheduleFor()
 
     // Generation miss: content hashes (computed only here, never on
     // the hit path) may still match a restored schedule -- the warm
-    // start claims it without compiling.
+    // start claims it without compiling.  A generation names one
+    // immutable object, so a cached slot that shares the matrix or the
+    // table already holds its digest: the SpMV and both SymGS misses
+    // on one matrix hash it once.
     ScheduleSlot slot;
     slot.ldGen = _ld->generation();
     slot.tableGen = _table->generation();
-    slot.ldHash = _ld->contentHash();
-    slot.tableHash = _table->contentHash();
+    auto ldSlot = std::find_if(
+        _schedules.begin(), _schedules.end(),
+        [&](const ScheduleSlot &s) { return s.ldGen == slot.ldGen; });
+    slot.ldHash = ldSlot != _schedules.end() ? ldSlot->ldHash
+                                             : _ld->contentHash();
+    auto tableSlot = std::find_if(
+        _schedules.begin(), _schedules.end(),
+        [&](const ScheduleSlot &s) { return s.tableGen == slot.tableGen; });
+    slot.tableHash = tableSlot != _schedules.end() ? tableSlot->tableHash
+                                                   : _table->contentHash();
     slot.entryCount = _table->entries().size();
     slot.blockCount = _ld->blocks().size();
     slot.streamLen = _ld->stream().size();
@@ -192,12 +204,12 @@ Engine::saveScheduleCache(std::ostream &out) const
         bio::writePod<uint32_t>(body, slot.omega);
         serializeSchedule(body, *slot.sched);
     }
-    const std::string bytes = body.str();
+    const std::string bytes = std::move(body).str();
     bio::writePod<uint32_t>(out, kSchedCacheMagic);
     bio::writePod<uint32_t>(out, kSchedCacheVersion);
     bio::writePod<uint64_t>(out, scheduleParamsFingerprint(_params));
     bio::writePod<uint64_t>(out, uint64_t(bytes.size()));
-    bio::writePod<uint64_t>(out, hash::fnv1a(bytes.data(), bytes.size()));
+    bio::writePod<uint64_t>(out, hash::words(bytes.data(), bytes.size()));
     out.write(bytes.data(), std::streamsize(bytes.size()));
     if (!out) {
         warn("failed writing schedule cache");
@@ -238,13 +250,21 @@ Engine::loadScheduleCache(std::istream &in)
         uint64_t bodyHash = bio::readPod<uint64_t>(in);
         if (bodyLen > (uint64_t(1) << 34))
             throw std::runtime_error("implausible schedule cache size");
-        std::string bytes(size_t(bodyLen), '\0');
-        in.read(bytes.data(), std::streamsize(bytes.size()));
-        if (size_t(in.gcount()) != bytes.size())
-            throw std::runtime_error("truncated schedule cache");
-        if (hash::fnv1a(bytes.data(), bytes.size()) != bodyHash)
+        // Grow the body with the bytes that actually arrive: a corrupted
+        // length must not allocate what the file does not hold.
+        std::string bytes;
+        while (bytes.size() < bodyLen) {
+            size_t at = bytes.size();
+            size_t want = size_t(std::min<uint64_t>(
+                bodyLen - at, std::max(at, size_t(1) << 20)));
+            bytes.resize(at + want);
+            in.read(bytes.data() + at, std::streamsize(want));
+            if (size_t(in.gcount()) != want)
+                throw std::runtime_error("truncated schedule cache");
+        }
+        if (hash::words(bytes.data(), bytes.size()) != bodyHash)
             throw std::runtime_error("schedule cache checksum mismatch");
-        std::istringstream body(bytes);
+        std::istringstream body(std::move(bytes));
         uint32_t count = bio::readPod<uint32_t>(body);
         if (count > 4096)
             throw std::runtime_error("implausible schedule count");

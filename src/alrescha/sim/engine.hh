@@ -312,8 +312,9 @@ class Engine
      * schedule compiled from its predecessor.  The shape fingerprint
      * is kept as a belt-and-braces consistency check.  Content hashes
      * (stable across restarts, unlike generations) key the persisted
-     * form of the cache; they are computed once per miss, so hits stay
-     * hash-free.
+     * form of the cache.  A miss computes them only for a matrix or
+     * table that no cached slot carries yet, so hits stay hash-free
+     * and the misses of several tables on one matrix hash it once.
      *
      * All cache state (_schedules, _restored, _scheduleCompiles, the
      * eviction stat) is guarded by _scheduleMutex: concurrent lookups

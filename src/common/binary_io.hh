@@ -10,6 +10,7 @@
 #define ALR_COMMON_BINARY_IO_HH
 
 #include <cstdint>
+#include <cstring>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
@@ -49,6 +50,43 @@ writeVec(std::ostream &out, const std::vector<T, Alloc> &v)
                   std::streamsize(v.size() * sizeof(T)));
     }
 }
+
+/**
+ * Gathers small PODs in a local buffer and hands them to the stream in
+ * few large writes.  A per-record loop of writePod calls otherwise pays
+ * the ostream sentry and a virtual call per field.  The bytes are those
+ * of the same writePod calls; they reach the stream on flush() or at
+ * scope exit, so keep other writes to the stream outside the scope.
+ */
+class BufferedWriter
+{
+  public:
+    explicit BufferedWriter(std::ostream &out) : _out(out) {}
+    BufferedWriter(const BufferedWriter &) = delete;
+    BufferedWriter &operator=(const BufferedWriter &) = delete;
+    ~BufferedWriter() { flush(); }
+
+    template <typename T>
+    void pod(const T &v)
+    {
+        static_assert(std::is_trivially_copyable_v<T>);
+        if (_used + sizeof(T) > sizeof(_buf))
+            flush();
+        std::memcpy(_buf + _used, &v, sizeof(T));
+        _used += sizeof(T);
+    }
+
+    void flush()
+    {
+        _out.write(_buf, std::streamsize(_used));
+        _used = 0;
+    }
+
+  private:
+    std::ostream &_out;
+    char _buf[4096] = {};
+    size_t _used = 0;
+};
 
 /**
  * Read a length-prefixed vector into @p v (any allocator -- the

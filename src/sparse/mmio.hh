@@ -19,9 +19,18 @@ namespace alr {
  * skew-symmetric files are expanded to both triangles; pattern files get
  * unit values.  Blank lines around the size line and between entries are
  * skipped; entry lines with trailing tokens are rejected, and parse
- * errors report the 1-based line number.  Calls fatal() on malformed
- * input from a file path API and throws std::runtime_error from the
- * stream API so tests can probe errors.
+ * errors report the 1-based line number.  Numbers are whitespace-
+ * separated decimal tokens (an optional sign, no inf or nan); a real
+ * that underflows reads as zero and one that overflows is rejected.
+ * Headers whose dimensions exceed the 32-bit Index range, whose entry
+ * count the rest of the input could not hold, or that declare a
+ * non-square symmetric matrix are rejected before anything is
+ * allocated.
+ *
+ * Both readers share one parser: the whole input is read into one
+ * buffer, which is freed before the triplets are canonicalized.  The
+ * stream API reads @p in to its end and throws std::runtime_error on
+ * malformed input so tests can probe errors.
  */
 CooMatrix readMatrixMarket(std::istream &in);
 

@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 
@@ -17,6 +19,8 @@
 #include "alrescha/sim/replay.hh"
 #include "alrescha/sim/schedule.hh"
 #include "alrescha/sim/schedule_io.hh"
+#include "common/hash.hh"
+#include "common/logging.hh"
 #include "common/random.hh"
 #include "sparse/generators.hh"
 
@@ -59,6 +63,16 @@ struct Problem
     }
 };
 
+/** Reads a string in place, so probing every offset of a cache file
+ *  does not copy the file once per offset. */
+struct ViewBuf : std::streambuf
+{
+    explicit ViewBuf(std::string &s)
+    {
+        setg(s.data(), s.data(), s.data() + s.size());
+    }
+};
+
 } // namespace
 
 TEST(ContentHash, StableAcrossIdenticalObjects)
@@ -83,6 +97,54 @@ TEST(ContentHash, PayloadChangesTheHash)
     auto ld = LocallyDenseMatrix::encode(a, 8, LdLayout::Plain);
     auto ld2 = LocallyDenseMatrix::encode(a2, 8, LdLayout::Plain);
     EXPECT_NE(ld.contentHash(), ld2.contentHash());
+}
+
+TEST(ContentHash, DigestIgnoresHowTheWritesAreSplit)
+{
+    // contentHash() is the word hash of the canonical serialized
+    // bytes, and the streaming hasher must agree with a one-shot hash
+    // however the serializer chops its writes.
+    Problem p(81);
+    std::ostringstream os;
+    p.ld.serialize(os);
+    const std::string bytes = os.str();
+    const uint64_t oneShot = hash::words(bytes.data(), bytes.size());
+    EXPECT_EQ(p.ld.contentHash(), oneShot);
+
+    for (uint64_t seed = 1; seed <= 16; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        Rng rng(seed);
+        hash::HashingStreambuf buf;
+        size_t at = 0;
+        while (at < bytes.size()) {
+            // Mostly short writes, some single characters (the
+            // overflow path), some long runs spanning many stripes.
+            size_t len = rng.nextBool(0.1) ? 1 + rng.nextRange(300)
+                                           : rng.nextRange(12);
+            len = std::min(len, bytes.size() - at);
+            if (len == 1)
+                buf.sputc(bytes[at]);
+            else
+                buf.sputn(bytes.data() + at, std::streamsize(len));
+            at += len;
+        }
+        EXPECT_EQ(buf.digest(), oneShot);
+    }
+
+    // Every length around the 8-byte word and 32-byte stripe edges,
+    // split at every point.
+    for (size_t n = 0; n <= 70; ++n) {
+        const uint64_t whole = hash::words(bytes.data(), n);
+        for (size_t cut = 0; cut <= n; ++cut) {
+            hash::HashingStreambuf buf;
+            buf.sputn(bytes.data(), std::streamsize(cut));
+            buf.sputn(bytes.data() + cut, std::streamsize(n - cut));
+            EXPECT_EQ(buf.digest(), whole) << "n " << n << " cut " << cut;
+        }
+        if (n > 0) {
+            EXPECT_NE(whole, hash::words(bytes.data(), n - 1)) << "n " << n;
+        }
+    }
 }
 
 TEST(ScheduleSerialization, RoundTripReplaysBitIdentically)
@@ -226,12 +288,22 @@ TEST(ScheduleCachePersistence, CorruptionFallsBackToRecompile)
     EXPECT_TRUE(loadFails(bytes.substr(0, bytes.size() - 1)));
     // A flipped byte anywhere -- header fields or deep inside a
     // serialized double -- fails the body checksum (or a header gate)
-    // and the loader rejects the whole file.
-    for (size_t off : {size_t(9), size_t(20), size_t(40),
-                       bytes.size() / 2, bytes.size() - 2}) {
+    // and the loader rejects the whole file.  Every offset: the word
+    // hash is injective in each word, so no single flip can slip by.
+    {
+        setLogCapture(true);
+        Engine probe(makeParams());
         std::string bad = bytes;
-        bad[off] = char(bad[off] ^ 0x5a);
-        EXPECT_TRUE(loadFails(bad)) << "offset " << off;
+        for (size_t off = 0; off < bad.size(); ++off) {
+            bad[off] = char(bad[off] ^ 0x5a);
+            ViewBuf view(bad);
+            std::istream in(&view);
+            EXPECT_FALSE(probe.loadScheduleCache(in))
+                << "flip at offset " << off << " of " << bad.size();
+            bad[off] = bytes[off];
+        }
+        setLogCapture(false);
+        EXPECT_EQ(probe.restoredSchedules(), 0u);
     }
     // Empty stream.
     EXPECT_TRUE(loadFails(""));
@@ -249,6 +321,38 @@ TEST(ScheduleCachePersistence, CorruptionFallsBackToRecompile)
     ref.program(&refp.ld, &refp.table);
     EXPECT_EQ(fresh.runSpmv(x), ref.runSpmv(x));
     EXPECT_EQ(fresh.scheduleCompiles(), 1u);
+}
+
+TEST(ScheduleCachePersistence, VersionOneFilesRecompile)
+{
+    // Version 1 keyed and checksummed with FNV-1a; its keys can never
+    // match a version 2 engine's, so the header gate refuses the file.
+    Problem p(45);
+    Engine e(makeParams());
+    e.program(&p.ld, &p.table);
+    e.prepareSchedule();
+    std::stringstream good;
+    ASSERT_TRUE(e.saveScheduleCache(good));
+    std::string bytes = good.str();
+    uint32_t version = 0;
+    std::memcpy(&version, bytes.data() + 4, sizeof(version));
+    EXPECT_EQ(version, 2u);
+    version = 1;
+    std::memcpy(bytes.data() + 4, &version, sizeof(version));
+
+    setLogCapture(true);
+    Engine warm(makeParams());
+    std::stringstream old(bytes);
+    EXPECT_FALSE(warm.loadScheduleCache(old));
+    EXPECT_NE(setLogCapture(false).find("version mismatch"),
+              std::string::npos);
+    EXPECT_EQ(warm.restoredSchedules(), 0u);
+
+    Problem same(45);
+    warm.program(&same.ld, &same.table);
+    DenseVector x(same.a.cols(), 1.0);
+    EXPECT_EQ(warm.runSpmv(x), e.runSpmv(x));
+    EXPECT_EQ(warm.scheduleCompiles(), 1u);
 }
 
 TEST(ScheduleCachePersistence, ParamsFingerprintMismatchRejected)

@@ -298,6 +298,26 @@ TEST(ServeFleetTest, WarmSchedulesCompilesEverythingOnce)
     EXPECT_EQ(fleet.scheduleCompiles(), 9u);
 }
 
+TEST(ServeFleetTest, SecondDrainOnTheSameFleet)
+{
+    // Each plan restarts its per-matrix sequence numbers at 0; the
+    // fleet's gates must restart with it, or the second drain blocks
+    // forever (ctest's TIMEOUT turns that hang into a failure).
+    std::vector<ServeRequest> trace =
+        generateTrace(smallTrace(60), {1, 1, 1});
+    ServeConfig cfg;
+    cfg.batchWindow = 4;
+    cfg.threads = 2;
+    cfg.pcgIterations = 4;
+
+    ServeFleet fleet = makeFleet();
+    ServeResult first = serve(fleet, trace, cfg);
+    ServeResult second = serve(fleet, trace, cfg);
+    ASSERT_EQ(first.completed, trace.size());
+    ASSERT_EQ(second.completed, trace.size());
+    EXPECT_EQ(first.checksums, second.checksums);
+}
+
 TEST(ServeFleetTest, CacheRoundTripThroughDirectory)
 {
     std::string dir = ::testing::TempDir() + "serve_caches";

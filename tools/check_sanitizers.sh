@@ -11,14 +11,22 @@
 #      replay, ordered combine, and level-scheduled D-SymGS all execute
 #      on the pool under the race detector.
 #
-# Usage: tools/check_sanitizers.sh [build-dir-prefix]
+# Usage: tools/check_sanitizers.sh [build-dir-prefix] [all|asan|tsan]
+# The second argument picks the passes: "asan" runs 1 (plus the forced-
+# ISA replay re-runs), "tsan" runs 2 and 3, "all" (the default) runs
+# everything.
 # Exits non-zero on any build failure, test failure, or sanitizer report.
 
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 prefix="${1:-build-san}"
+passes="${2:-all}"
 jobs="$(nproc 2>/dev/null || echo 2)"
+case "${passes}" in
+    all|asan|tsan) ;;
+    *) echo "unknown passes '${passes}' (all, asan or tsan)" >&2; exit 2 ;;
+esac
 
 run_suite() {
     local dir="$1" flags="$2" label="$3"
@@ -34,6 +42,7 @@ run_suite() {
     (cd "${dir}" && ctest --output-on-failure -j "${jobs}" "$@")
 }
 
+if [[ "${passes}" != tsan ]]; then
 # Address + undefined-behaviour pass over the whole suite.
 run_suite "${prefix}-asan" \
     "-fsanitize=address,undefined -fno-sanitize-recover=all" \
@@ -53,6 +62,9 @@ for isa in scalar sse2 avx2 avx512 neon; do
             -R 'ReplayDispatch|ReplaySpecialize|ReplayContract|SimdReplay')
 done
 
+fi
+
+if [[ "${passes}" != asan ]]; then
 # Thread-sanitizer pass over the parallel pipeline.  ALR_THREADS=8
 # forces real concurrency even on small CI machines.
 ALR_THREADS=8 TSAN_OPTIONS="halt_on_error=1" run_suite "${prefix}-tsan" \
@@ -70,5 +82,6 @@ echo "== TSan (ALR_PARALLEL_TIMING=1): testing parallel timing walk =="
     ALR_PARALLEL_TIMING=1 ALR_THREADS=8 TSAN_OPTIONS="halt_on_error=1" \
     ctest --output-on-failure -j "${jobs}" \
         -R 'Pwalk|ScheduleEquivalence|Profile|Multi')
+fi
 
-echo "== sanitizers: all passes clean =="
+echo "== sanitizers: ${passes} passes clean =="
