@@ -160,7 +160,12 @@ class JsonObject
 
     JsonObject &add(const std::string &key, const std::string &v)
     {
-        return raw(key, "\"" + jsonEscape(v) + "\"");
+        // Appended piecewise ("\"" + std::string trips a GCC 12
+        // -Wrestrict false positive at -O2; so do the closers below).
+        std::string quoted = "\"";
+        quoted += jsonEscape(v);
+        quoted += '"';
+        return raw(key, std::move(quoted));
     }
     JsonObject &add(const std::string &key, const char *v)
     {
@@ -204,7 +209,9 @@ class JsonObject
             out += pad + "\"" + jsonEscape(_members[i].first) +
                    "\": " + _members[i].second;
         }
-        out += "\n" + std::string(size_t(indent), ' ') + "}";
+        out += '\n';
+        out.append(size_t(indent), ' ');
+        out += '}';
         return out;
     }
 
@@ -237,7 +244,9 @@ class JsonArray
             out += i ? ",\n" : "\n";
             out += pad + _elems[i];
         }
-        out += "\n" + std::string(size_t(indent), ' ') + "]";
+        out += '\n';
+        out.append(size_t(indent), ' ');
+        out += ']';
         return out;
     }
 

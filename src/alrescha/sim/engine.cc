@@ -183,6 +183,7 @@ Engine::invalidateSchedules()
     std::lock_guard<std::mutex> lock(_scheduleMutex);
     _schedules.clear();
     _restored.clear();
+    _graphPlan.reset();
 }
 
 bool
@@ -1558,7 +1559,7 @@ Engine::runSymgsLevels(const ExecSchedule &S, const DenseVector &b,
 DenseVector
 Engine::runRelaxRound(const DenseVector &dist, RunTiming *timing)
 {
-    return relaxImpl(dist, false, nullptr, timing);
+    return graphRound(GraphOp::Relax, dist, nullptr, nullptr, timing);
 }
 
 DenseVector
@@ -1566,13 +1567,14 @@ Engine::runRelaxRound(const DenseVector &dist,
                       const std::vector<uint8_t> &active_chunks,
                       RunTiming *timing)
 {
-    return relaxImpl(dist, false, &active_chunks, timing);
+    return graphRound(GraphOp::Relax, dist, nullptr, &active_chunks,
+                      timing);
 }
 
 DenseVector
 Engine::runLabelRound(const DenseVector &labels, RunTiming *timing)
 {
-    return relaxImpl(labels, true, nullptr, timing);
+    return graphRound(GraphOp::Label, labels, nullptr, nullptr, timing);
 }
 
 DenseVector
@@ -1580,44 +1582,146 @@ Engine::runLabelRound(const DenseVector &labels,
                       const std::vector<uint8_t> &active_chunks,
                       RunTiming *timing)
 {
-    return relaxImpl(labels, true, &active_chunks, timing);
+    return graphRound(GraphOp::Label, labels, nullptr, &active_chunks,
+                      timing);
 }
 
 DenseVector
-Engine::relaxImpl(const DenseVector &dist, bool zero_addend,
-                  const std::vector<uint8_t> *active_chunks,
-                  RunTiming *timing)
+Engine::runPrRound(const DenseVector &rank,
+                   const std::vector<Index> &outdeg, RunTiming *timing)
+{
+    return graphRound(GraphOp::PageRank, rank, &outdeg, nullptr, timing);
+}
+
+const GraphPlan &
+Engine::graphPlan()
+{
+    if (!_graphPlan || _graphPlan->ldGeneration != _ld->generation() ||
+        _graphPlan->blockBegin.size() != _ld->blocks().size() + 1) {
+        _graphPlan.reset(); // release the old plan before building
+        _graphPlan = std::make_unique<GraphPlan>(
+            buildGraphPlan(*_ld, _params.skipEmptyBlockRows));
+    }
+    return *_graphPlan;
+}
+
+DenseVector
+Engine::graphRound(GraphOp op, const DenseVector &in,
+                   const std::vector<Index> *outdeg,
+                   const std::vector<uint8_t> *active_chunks,
+                   RunTiming *timing)
 {
     ALR_ASSERT(_ld && _table, "engine not programmed");
-    ALR_ASSERT(_table->kernel() == KernelType::BFS ||
-                   _table->kernel() == KernelType::SSSP,
-               "table was converted for %s", toString(_table->kernel()));
-    ALR_ASSERT(dist.size() == _ld->rows(), "operand length mismatch");
+    const bool pr = op == GraphOp::PageRank;
+    const KernelType kernel = _table->kernel();
+    if (pr) {
+        ALR_ASSERT(kernel == KernelType::PageRank,
+                   "table was converted for %s", toString(kernel));
+        ALR_ASSERT(in.size() == _ld->rows() &&
+                       outdeg->size() == _ld->rows(),
+                   "operand length mismatch");
+    } else {
+        ALR_ASSERT(kernel == KernelType::BFS || kernel == KernelType::SSSP,
+                   "table was converted for %s", toString(kernel));
+        ALR_ASSERT(in.size() == _ld->rows(), "operand length mismatch");
+    }
 
     const Index omega = _params.omega;
-    const bool hops = _table->kernel() == KernelType::BFS;
+    const Index rows = _ld->rows();
+    const Index cols = _ld->cols();
+    const bool skip = _params.skipEmptyBlockRows;
+    const ReduceOp reduce = pr ? ReduceOp::Sum : ReduceOp::Min;
+    // Relax addend: D-BFS counts hops, D-SSSP adds the edge weight,
+    // label propagation adds nothing.
+    const bool weighted = op == GraphOp::Relax && kernel == KernelType::SSSP;
+    const Value addend = op == GraphOp::Label ? 0.0 : 1.0;
     constexpr Value inf = std::numeric_limits<Value>::infinity();
-
-    timeline::ScopedHostSpan hostSpan("relax", "run");
+    if (active_chunks) {
+        ALR_ASSERT(active_chunks->size() >= (cols + omega - 1) / omega,
+                   "frontier mask too short");
+    }
+    timeline::ScopedHostSpan hostSpan(pr ? "pagerank" : "relax", "run");
+    const GraphPlan &plan = graphPlan();
+    const size_t words = plan.words;
     const uint64_t tlBase = totalCycles();
     profile::RunScope prof;
     const uint64_t lineBytes = _params.cacheLineBytes;
     DataPathType drainDp = DataPathType::Gemv;
 
-    DenseVector cand(_ld->rows(), inf);
+    // PageRank phase 1 (the PE divisions), once per source vertex:
+    // contrib[src] = rank[src] / outdeg[src] for src < rows with
+    // out-edges, else 0.0.  Every block of a source chunk still charges
+    // that chunk's divisions (peCount) to the PE op count.
+    const size_t chunks = (size_t(cols) + omega - 1) / omega;
+    std::vector<Value> contrib;
+    std::vector<Index> peCount;
+    if (pr) {
+        contrib.assign(chunks * omega, 0.0);
+        peCount.assign(chunks, 0);
+        for (size_t src = 0; src < contrib.size() && src < rows; ++src) {
+            if ((*outdeg)[src] > 0) {
+                contrib[src] = in[src] / Value((*outdeg)[src]);
+                ++peCount[src / omega];
+            }
+        }
+    }
+
+    // Per-occupancy stream terms (row skipping streams whole block rows).
+    std::vector<uint64_t> rowsCycles(omega + 1), rowsMem(omega + 1);
+    for (Index k = 0; k <= omega; ++k) {
+        rowsCycles[k] = streamRowsCycles(k);
+        rowsMem[k] =
+            _memory.streamCycles(uint64_t(k) * omega * sizeof(Value));
+    }
+
+    // Streaming-mode cache accesses replay against a private shadow of
+    // the direct-mapped line array; the final line images and the
+    // integer counter totals are installed once after the walk.  A
+    // streaming read never stalls: a miss only charges the line fill's
+    // share of the pipe (CacheModel::read).
+    CacheModel &cache = _rcu.cache();
+    std::vector<CacheModel::LineImage> lines(cache.lineCount());
+    for (size_t i = 0; i < lines.size(); ++i)
+        lines[i] = cache.lineImage(i);
+    const uint64_t missCycles = _memory.streamCycles(lineBytes);
+    uint64_t reads = 0, writes = 0, hits = 0, misses = 0;
+    auto touch = [&](CacheVec vec, Index chunk) {
+        CacheModel::LineImage &l = lines[cache.lineIndex(vec, chunk)];
+        if (l.valid && l.vec == vec && l.chunk == chunk) {
+            ++hits;
+            return false;
+        }
+        ++misses;
+        l = CacheModel::LineImage{true, vec, chunk};
+        return true;
+    };
+
+    DenseVector out(rows, pr ? 0.0 : inf);
     RunTiming t;
     bool filled = false;
     int64_t curRow = -1;
-    double parFlops = 0.0, usefulBytes = 0.0;
-    FcuOpCounts fcuOps;
+    uint64_t streamed = 0, usefulLanes = 0, laneOps = 0, peOps = 0;
 
-    std::vector<Value> srcDist(omega), addend(omega);
-    std::vector<uint8_t> valid(omega);
-    if (active_chunks) {
-        ALR_ASSERT(active_chunks->size() >=
-                       (_ld->cols() + omega - 1) / omega,
-                   "frontier mask too short");
-    }
+    auto read = [&](DataPathType dp, int64_t row, CacheVec vec,
+                    Index chunk) {
+        ++reads;
+        if (touch(vec, chunk)) {
+            t.cycles += missCycles;
+            if (prof.on())
+                prof.add(dp, row, Cause::CacheMiss, missCycles, lineBytes);
+        }
+    };
+    // Out-chunk flush of a finished block row: relax rounds compare
+    // with the old distance chunk first (Table 1, phase 3).
+    auto flushRow = [&](DataPathType dp, int64_t row) {
+        if (!pr)
+            read(dp, row, CacheVec::Out, Index(row));
+        ++writes;
+        if (touch(CacheVec::Out, Index(row)) && prof.on())
+            prof.add(dp, row, Cause::CacheMiss, 0, lineBytes);
+    };
+
+    std::vector<Value> lane(fcutree::ceilPow2(omega));
     for (const ConfigEntry &e : _table->entries()) {
         const LdBlockInfo &blk = _ld->blocks()[e.blockId];
         // Frontier skipping: an inactive source chunk cannot improve
@@ -1635,220 +1739,96 @@ Engine::relaxImpl(const DenseVector &dist, bool zero_addend,
             filled = false;
         }
         if (!filled) {
-            uint64_t fill = uint64_t(_fcu.fillLatency(ReduceOp::Min));
+            uint64_t fill = uint64_t(_fcu.fillLatency(reduce));
             prof.add(e.dp, blk.blockRow, Cause::FcuCompute, fill);
             t.cycles += fill;
             filled = true;
         }
         if (int64_t(blk.blockRow) != curRow) {
-            if (curRow >= 0) {
-                // Assign phase: compare with the old distance chunk and
-                // write back (Table 1, phase 3).
-                bool rMiss = false, wMiss = false;
-                uint64_t oRead = _rcu.cache().read(
-                    CacheVec::Out, Index(curRow), false, &rMiss);
-                prof.add(e.dp, curRow, Cause::CacheMiss, oRead,
-                         rMiss ? lineBytes : 0);
-                t.cycles += oRead;
-                t.cycles += _rcu.cache().write(CacheVec::Out,
-                                               Index(curRow), &wMiss);
-                if (wMiss)
-                    prof.add(e.dp, curRow, Cause::CacheMiss, 0,
-                             lineBytes);
-            }
+            if (curRow >= 0)
+                flushRow(e.dp, curRow);
             curRow = blk.blockRow;
         }
+        // Source chunk (port 1), plus the out-degree chunk (port 2) for
+        // PageRank.
+        read(e.dp, blk.blockRow, CacheVec::Xt, blk.blockCol);
+        if (pr) {
+            read(e.dp, blk.blockRow, CacheVec::Aux, blk.blockCol);
+            peOps += peCount[blk.blockCol];
+        }
 
-        bool xMiss = false;
-        uint64_t xRead =
-            _rcu.cache().read(CacheVec::Xt, blk.blockCol, false, &xMiss);
-        prof.add(e.dp, blk.blockRow, Cause::CacheMiss, xRead,
-                 xMiss ? lineBytes : 0);
-        t.cycles += xRead;
-
-        Index c0 = blk.blockCol * omega;
+        // Functional pass over the block's planned rows.  Every lane
+        // goes through the canonical tree: PageRank multiplies the 0/1
+        // pattern into every contribution (0 x inf must stay NaN, and
+        // signed zeros must match), and relax rounds feed absent edges
+        // the +inf identity.
+        const Index c0 = blk.blockCol * omega;
+        const Index r0 = blk.blockRow * omega;
+        const Index srcLanes = c0 < cols ? std::min(omega, cols - c0) : 0;
+        const int32_t *lut = nullptr;
+        if (weighted)
+            lut = _ld->payloadLut(_ld->layout() == LdLayout::SymGs &&
+                                      blk.isDiagonal(),
+                                  blk.blockCol > blk.blockRow);
         Index occupied = 0;
-        for (Index lr = 0; lr < omega; ++lr) {
-            Index r = blk.blockRow * omega + lr;
-            if (r >= _ld->rows())
-                break;
+        for (uint32_t k = plan.blockBegin[e.blockId];
+             k < plan.blockBegin[e.blockId + 1]; ++k) {
+            const uint64_t *m = &plan.mask[size_t(k) * words];
+            const Index lr = plan.localRow[k];
+            const Index r = r0 + lr;
             Index useful = 0;
-            for (Index lc = 0; lc < omega; ++lc) {
-                Index src = c0 + lc;
-                Value w = _ld->blockValue(blk, lr, lc);
-                bool present = w != 0.0 && src < _ld->cols();
-                valid[lc] = present;
-                srcDist[lc] = present ? dist[src] : inf;
-                addend[lc] = zero_addend ? 0.0 : (hops ? 1.0 : w);
-                if (present)
-                    ++useful;
-            }
-            if (useful == 0 && _params.skipEmptyBlockRows)
-                continue;
-            ++occupied;
-            Value m = _fcu.vectorReduce(srcDist, addend, VecOp::Add,
-                                        ReduceOp::Min, valid, &fcuOps);
-            cand[r] = std::min(cand[r], m);
-            parFlops += 2.0 * useful;
-            usefulBytes += double(useful) * sizeof(Value);
-        }
-        uint64_t bc, streamedBytes;
-        if (_params.skipEmptyBlockRows) {
-            streamedBytes = uint64_t(occupied) * omega * sizeof(Value);
-            _memory.recordStream(streamedBytes);
-            bc = streamRowsCycles(occupied);
-        } else {
-            streamedBytes = uint64_t(blk.size) * sizeof(Value);
-            _memory.recordStream(streamedBytes);
-            bc = streamBlockCycles(blk);
-        }
-        if (prof.on()) {
-            uint64_t memC = _memory.streamCycles(streamedBytes);
-            prof.add(e.dp, blk.blockRow, Cause::Stream, memC,
-                     streamedBytes);
-            prof.add(e.dp, blk.blockRow, Cause::FcuCompute, bc - memC);
-        }
-        t.cycles += bc;
-        t.parCycles += bc;
-    }
-    if (curRow >= 0) {
-        bool rMiss = false, wMiss = false;
-        uint64_t oRead = _rcu.cache().read(CacheVec::Out, Index(curRow),
-                                           false, &rMiss);
-        prof.add(drainDp, curRow, Cause::CacheMiss, oRead,
-                 rMiss ? lineBytes : 0);
-        t.cycles += oRead;
-        t.cycles +=
-            _rcu.cache().write(CacheVec::Out, Index(curRow), &wMiss);
-        if (wMiss)
-            prof.add(drainDp, curRow, Cause::CacheMiss, 0, lineBytes);
-    }
-    t.cycles += uint64_t(_params.drainCycles());
-    prof.add(drainDp, -1, Cause::TreeDrain,
-             uint64_t(_params.drainCycles()));
-    _fcu.noteOps(fcuOps);
-    if (parFlops != 0.0)
-        _parFlops += parFlops;
-    if (usefulBytes != 0.0)
-        _usefulBytes += usefulBytes;
-    emitTimelineTail(tlBase, t,
-                     zero_addend ? "d-cc" : (hops ? "d-bfs" : "d-sssp"));
-    addTiming(timing, t);
-
-    DenseVector next(dist.size());
-    for (size_t v = 0; v < dist.size(); ++v)
-        next[v] = std::min(dist[v], cand[v]);
-    return next;
-}
-
-DenseVector
-Engine::runPrRound(const DenseVector &rank,
-                   const std::vector<Index> &outdeg, RunTiming *timing)
-{
-    ALR_ASSERT(_ld && _table, "engine not programmed");
-    ALR_ASSERT(_table->kernel() == KernelType::PageRank,
-               "table was converted for %s", toString(_table->kernel()));
-    ALR_ASSERT(rank.size() == _ld->rows() &&
-                   outdeg.size() == _ld->rows(),
-               "operand length mismatch");
-
-    timeline::ScopedHostSpan hostSpan("pagerank", "run");
-    const uint64_t tlBase = totalCycles();
-    profile::RunScope prof;
-    const uint64_t lineBytes = _params.cacheLineBytes;
-    DataPathType drainDp = DataPathType::Gemv;
-
-    const Index omega = _params.omega;
-    DenseVector sums(_ld->rows(), 0.0);
-    RunTiming t;
-    bool filled = false;
-    int64_t curRow = -1;
-    double parFlops = 0.0, usefulBytes = 0.0, peOps = 0.0;
-    FcuOpCounts fcuOps;
-
-    std::vector<Value> contrib(omega), pattern(omega);
-    for (const ConfigEntry &e : _table->entries()) {
-        const LdBlockInfo &blk = _ld->blocks()[e.blockId];
-        drainDp = e.dp;
-        uint64_t hidden = 0;
-        uint64_t cfg = _rcu.reconfigure(e.dp, &hidden);
-        if (cfg) {
-            prof.add(e.dp, blk.blockRow, Cause::ReconfigHidden, hidden);
-            prof.add(e.dp, blk.blockRow, Cause::ReconfigExposed,
-                     cfg - hidden);
-            t.cycles += cfg;
-            filled = false;
-        }
-        if (!filled) {
-            uint64_t fill = uint64_t(_fcu.fillLatency(ReduceOp::Sum));
-            prof.add(e.dp, blk.blockRow, Cause::FcuCompute, fill);
-            t.cycles += fill;
-            filled = true;
-        }
-        if (int64_t(blk.blockRow) != curRow) {
-            if (curRow >= 0) {
-                bool wMiss = false;
-                t.cycles += _rcu.cache().write(CacheVec::Out,
-                                               Index(curRow), &wMiss);
-                if (wMiss)
-                    prof.add(e.dp, curRow, Cause::CacheMiss, 0,
-                             lineBytes);
-            }
-            curRow = blk.blockRow;
-        }
-
-        // rank chunk (port1) and out-degree chunk (port2, Table 1).
-        for (CacheVec vec : {CacheVec::Xt, CacheVec::Aux}) {
-            bool rdMiss = false;
-            uint64_t rd =
-                _rcu.cache().read(vec, blk.blockCol, false, &rdMiss);
-            prof.add(e.dp, blk.blockRow, Cause::CacheMiss, rd,
-                     rdMiss ? lineBytes : 0);
-            t.cycles += rd;
-        }
-
-        Index c0 = blk.blockCol * omega;
-        for (Index lc = 0; lc < omega; ++lc) {
-            Index src = c0 + lc;
-            if (src < _ld->rows() && outdeg[src] > 0) {
-                contrib[lc] = rank[src] / Value(outdeg[src]);
-                peOps += 1.0; // the phase-1 division (overlapped)
+            if (pr) {
+                const Value *cb = &contrib[c0];
+                for (Index lc = 0; lc < omega; ++lc) {
+                    bool bit = (m[lc / 64] >> (lc % 64)) & 1;
+                    useful += bit;
+                    lane[lc] = (bit ? 1.0 : 0.0) * cb[lc];
+                }
             } else {
-                contrib[lc] = 0.0;
-            }
-        }
-        Index occupied = 0;
-        for (Index lr = 0; lr < omega; ++lr) {
-            Index r = blk.blockRow * omega + lr;
-            if (r >= _ld->rows())
-                break;
-            Index useful = 0;
-            for (Index lc = 0; lc < omega; ++lc) {
-                pattern[lc] =
-                    _ld->blockValue(blk, lr, lc) != 0.0 ? 1.0 : 0.0;
-                if (pattern[lc] != 0.0)
+                for (Index lc = 0; lc < omega; ++lc) {
+                    bool bit = ((m[lc / 64] >> (lc % 64)) & 1) &&
+                               lc < srcLanes;
+                    if (!bit) {
+                        lane[lc] = inf;
+                        continue;
+                    }
                     ++useful;
+                    Value w = addend;
+                    if (weighted) {
+                        int32_t pos = lut[size_t(lr) * omega + lc];
+                        w = pos < 0 ? _ld->diagonal()[r]
+                                    : _ld->stream()[blk.offset +
+                                                    size_t(pos)];
+                    }
+                    lane[lc] = in[c0 + lc] + w;
+                }
             }
-            if (useful == 0 && _params.skipEmptyBlockRows)
+            if (useful == 0 && skip)
                 continue;
             ++occupied;
-            sums[r] += _fcu.vectorReduce(pattern, contrib, VecOp::Mul,
-                                         ReduceOp::Sum, {}, &fcuOps);
-            parFlops += 2.0 * useful;
-            usefulBytes += double(useful) * sizeof(Value);
+            if (pr) {
+                out[r] += fcutree::sumTree(lane.data(), omega);
+                laneOps += omega;
+            } else {
+                out[r] = std::min(out[r],
+                                  fcutree::minTree(lane.data(), omega));
+                laneOps += useful;
+            }
+            usefulLanes += useful;
         }
-        uint64_t bc, streamedBytes;
-        if (_params.skipEmptyBlockRows) {
+
+        uint64_t bc, streamedBytes, memC;
+        if (skip) {
             streamedBytes = uint64_t(occupied) * omega * sizeof(Value);
-            _memory.recordStream(streamedBytes);
-            bc = streamRowsCycles(occupied);
+            bc = rowsCycles[occupied];
+            memC = rowsMem[occupied];
         } else {
             streamedBytes = uint64_t(blk.size) * sizeof(Value);
-            _memory.recordStream(streamedBytes);
             bc = streamBlockCycles(blk);
+            memC = prof.on() ? _memory.streamCycles(streamedBytes) : 0;
         }
+        streamed += streamedBytes;
         if (prof.on()) {
-            uint64_t memC = _memory.streamCycles(streamedBytes);
             prof.add(e.dp, blk.blockRow, Cause::Stream, memC,
                      streamedBytes);
             prof.add(e.dp, blk.blockRow, Cause::FcuCompute, bc - memC);
@@ -1856,25 +1836,45 @@ Engine::runPrRound(const DenseVector &rank,
         t.cycles += bc;
         t.parCycles += bc;
     }
-    if (curRow >= 0) {
-        bool wMiss = false;
-        t.cycles +=
-            _rcu.cache().write(CacheVec::Out, Index(curRow), &wMiss);
-        if (wMiss)
-            prof.add(drainDp, curRow, Cause::CacheMiss, 0, lineBytes);
-    }
+    if (curRow >= 0)
+        flushRow(drainDp, curRow);
     t.cycles += uint64_t(_params.drainCycles());
     prof.add(drainDp, -1, Cause::TreeDrain,
              uint64_t(_params.drainCycles()));
-    _fcu.noteOps(fcuOps);
-    _rcu.notePeOps(peOps);
-    if (parFlops != 0.0)
-        _parFlops += parFlops;
-    if (usefulBytes != 0.0)
-        _usefulBytes += usefulBytes;
-    emitTimelineTail(tlBase, t, "d-pr");
+
+    // Install the shadow lines and flush every counter in one batch.
+    // All are integers below 2^53, so each batched add is bit-identical
+    // to the per-access and per-block increments it replaces.
+    for (size_t i = 0; i < lines.size(); ++i)
+        cache.setLineImage(i, lines[i]);
+    cache.noteBatch(double(reads), double(writes), double(hits),
+                    double(misses));
+    _memory.noteRandomAccesses(double(misses));
+    _memory.recordStream(streamed);
+    FcuOpCounts ops;
+    ops.alu = ops.reduce = double(laneOps);
+    (pr ? ops.mul : ops.add) = double(laneOps);
+    _fcu.noteOps(ops);
+    if (pr)
+        _rcu.notePeOps(double(peOps));
+    if (usefulLanes != 0) {
+        _parFlops += 2.0 * double(usefulLanes);
+        _usefulBytes += double(usefulLanes) * sizeof(Value);
+    }
+    const char *name = pr ? "d-pr"
+                       : op == GraphOp::Label
+                           ? "d-cc"
+                           : (kernel == KernelType::BFS ? "d-bfs"
+                                                        : "d-sssp");
+    emitTimelineTail(tlBase, t, name);
     addTiming(timing, t);
-    return sums;
+    if (pr)
+        return out;
+
+    DenseVector next(in.size());
+    for (size_t v = 0; v < in.size(); ++v)
+        next[v] = std::min(in[v], out[v]);
+    return next;
 }
 
 double

@@ -73,7 +73,8 @@ class Engine
      * generation counters of the programmed (matrix, table) pair, so a
      * new object at a recycled address can never alias a stale entry;
      * invalidation is now only a way to release the cached memory
-     * eagerly (Accelerator still does this on every load*).
+     * eagerly (Accelerator still does this on every load*).  Drops the
+     * graph-round occupancy plan too.
      */
     void invalidateSchedules();
 
@@ -248,9 +249,22 @@ class Engine
     }
 
   private:
-    DenseVector relaxImpl(const DenseVector &dist, bool zero_addend,
-                          const std::vector<uint8_t> *active_chunks,
-                          RunTiming *timing);
+    /** The four graph rounds share one walk (see graphRound). */
+    enum class GraphOp : uint8_t { PageRank, Relax, Label };
+
+    /**
+     * One graph round over the programmed table, walking the matrix's
+     * occupancy plan: PageRank sums (@p outdeg non-null) or min-plus
+     * relaxation / label propagation, optionally frontier-skipped.
+     */
+    DenseVector graphRound(GraphOp op, const DenseVector &in,
+                           const std::vector<Index> *outdeg,
+                           const std::vector<uint8_t> *active_chunks,
+                           RunTiming *timing);
+
+    /** The occupancy plan of the programmed matrix, built on the first
+     *  graph round after the matrix changed generation. */
+    const GraphPlan &graphPlan();
 
     uint64_t streamBlockCycles(const LdBlockInfo &blk) const;
     uint64_t streamRowsCycles(Index rows_streamed) const;
@@ -345,6 +359,12 @@ class Engine
     uint64_t _scheduleCompiles = 0;
     uint64_t _scheduleHits = 0;
     std::unique_ptr<ThreadPool> _privatePool;
+
+    /** Occupancy plan of the last matrix a graph round ran on (keyed
+     *  on its generation, like the schedule slots).  Graph rounds on
+     *  one engine are not concurrent -- the cache model they drive is
+     *  not either -- so the plan needs no lock. */
+    std::unique_ptr<GraphPlan> _graphPlan;
 
     /** Operand staging scratch for the scheduled replay (gather plan):
      *  one padded vector, and k of them at an aligned stride for SpMM.

@@ -350,4 +350,63 @@ compileSchedule(const LocallyDenseMatrix &ld, const ConfigTable &table,
     return s;
 }
 
+GraphPlan
+buildGraphPlan(const LocallyDenseMatrix &ld, bool skip_empty_rows)
+{
+    const Index omega = ld.omega();
+    const size_t words = (size_t(omega) + 63) / 64;
+    const std::vector<LdBlockInfo> &blocks = ld.blocks();
+    const Value *stream = ld.stream().data();
+
+    GraphPlan p;
+    p.ldGeneration = ld.generation();
+    p.words = Index(words);
+
+    // Size the records up front so the build never reallocates: every
+    // occupied row holds at least one non-zero, and without skipping
+    // every in-range row is listed.
+    size_t inRange = 0;
+    for (const LdBlockInfo &blk : blocks)
+        inRange += std::min<size_t>(
+            omega, ld.rows() - size_t(blk.blockRow) * omega);
+    size_t records =
+        skip_empty_rows ? std::min<size_t>(inRange, ld.scalarNnz())
+                        : inRange;
+    ALR_ASSERT(inRange <= UINT32_MAX, "graph plan: %zu block rows",
+               inRange);
+    p.blockBegin.reserve(blocks.size() + 1);
+    p.localRow.reserve(records);
+    p.mask.reserve(records * words);
+
+    p.blockBegin.push_back(0);
+    std::vector<uint64_t> row(words);
+    for (const LdBlockInfo &blk : blocks) {
+        bool diagBlk = ld.layout() == LdLayout::SymGs && blk.isDiagonal();
+        const int32_t *lut =
+            ld.payloadLut(diagBlk, blk.blockCol > blk.blockRow);
+        for (Index lr = 0; lr < omega; ++lr) {
+            Index r = blk.blockRow * omega + lr;
+            if (r >= ld.rows())
+                break;
+            std::fill(row.begin(), row.end(), 0);
+            bool any = false;
+            for (Index lc = 0; lc < omega; ++lc) {
+                int32_t pos = lut[size_t(lr) * omega + lc];
+                Value v = pos < 0 ? ld.diagonal()[r]
+                                  : stream[blk.offset + size_t(pos)];
+                if (v != 0.0) {
+                    row[lc / 64] |= uint64_t(1) << (lc % 64);
+                    any = true;
+                }
+            }
+            if (!any && skip_empty_rows)
+                continue;
+            p.localRow.push_back(lr);
+            p.mask.insert(p.mask.end(), row.begin(), row.end());
+        }
+        p.blockBegin.push_back(uint32_t(p.localRow.size()));
+    }
+    return p;
+}
+
 } // namespace alr

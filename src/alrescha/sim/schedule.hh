@@ -192,12 +192,49 @@ struct ExecSchedule
 /**
  * Lower @p table against @p ld into an ExecSchedule.  Pure: touches no
  * engine state and no stats.  Only SpMV and SymGS tables are
- * schedulable (graph rounds stay on the interpreter: their control flow
- * depends on the frontier operand, which changes every round).
+ * schedulable (graph rounds walk a GraphPlan instead: their control
+ * flow depends on the frontier operand, which changes every round).
  */
 ExecSchedule compileSchedule(const LocallyDenseMatrix &ld,
                              const ConfigTable &table,
                              const AccelParams &params);
+
+/**
+ * Occupancy plan of a locally-dense matrix: the non-zero pattern of
+ * every stored block row, decoded once so the graph rounds (D-PR,
+ * D-BFS, D-SSSP, and the label rounds) walk a compact bit pattern
+ * instead of re-deriving it from the padded payload on every pass.
+ *
+ * The pattern depends only on the matrix (and on whether empty block
+ * rows are skipped), so one plan serves every graph table of the
+ * matrix; each round still walks its own table's entries, which give
+ * the block order and the data path.  Built lazily by the engine on the
+ * first graph round and keyed on LocallyDenseMatrix::generation().
+ * Never hashed, persisted, or counted in the schedule cache.
+ */
+struct GraphPlan
+{
+    /** Generation of the matrix the plan was built from. */
+    uint64_t ldGeneration = 0;
+    /** Mask words per row record: ceil(omega / 64). */
+    Index words = 0;
+    /** Row-record range of block b: [blockBegin[b], blockBegin[b+1]). */
+    std::vector<uint32_t> blockBegin;
+    /** In-block row of each record.  Lists every block row inside the
+     *  matrix, or only the occupied ones when empty rows are skipped. */
+    std::vector<Index> localRow;
+    /** Lane masks, words per record: bit lc (word lc / 64) is set iff
+     *  the logical value at (row, lc) is != 0.0. */
+    std::vector<uint64_t> mask;
+};
+
+/**
+ * Decode the occupancy plan of @p ld, reading each block's payload once
+ * through its payload-position LUT.  With @p skip_empty_rows every
+ * all-zero block row is left out (it neither streams nor issues).
+ */
+GraphPlan buildGraphPlan(const LocallyDenseMatrix &ld,
+                         bool skip_empty_rows);
 
 /**
  * Fan-out of the partitioned timing walk.  A schedule constant (not a

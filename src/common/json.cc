@@ -461,7 +461,7 @@ Value::operator==(const Value &o) const
 Parsed
 parse(std::string_view text)
 {
-    Parser p{text};
+    Parser p{text, 0, {}, 0};
     Parsed out;
     if (!p.parseValue(&out.value, 0)) {
         out.error = p.error;

@@ -64,6 +64,17 @@ runProfiled(const CsrMatrix &a, const std::string &kernel,
     if (kernel == "spmv") {
         acc.loadSpmvOnly(a);
         acc.spmv(DenseVector(a.cols(), 1.0));
+    } else if (kernel == "pagerank" || kernel == "bfs" ||
+               kernel == "sssp" || kernel == "cc") {
+        acc.loadGraph(a);
+        if (kernel == "pagerank")
+            acc.pagerank();
+        else if (kernel == "bfs")
+            acc.bfs(0);
+        else if (kernel == "sssp")
+            acc.sssp(0);
+        else
+            acc.connectedComponents();
     } else {
         acc.loadPde(a);
         DenseVector b(a.rows(), 1.0), x(a.rows(), 0.0);
@@ -109,24 +120,33 @@ TEST(ProfileConservation, ExactAcrossKernelsEnginesAndOmegas)
     ProfileGuard guard;
     Rng rng(7);
     CsrMatrix a = gen::blockStructured(96, 8, 4, 0.7, rng);
+    // Graph rounds run on an adjacency with positive weights (SSSP) and
+    // a vertex count that is not a multiple of either omega.
+    CsrMatrix g = gen::powerLawGraph(150, 4, 2.1, rng, 0.5, 16);
 
-    for (const char *kernel : {"spmv", "symgs"}) {
+    for (const char *kernel :
+         {"spmv", "symgs", "pagerank", "bfs", "sssp", "cc"}) {
+        const bool graph = std::string(kernel) != "spmv" &&
+                           std::string(kernel) != "symgs";
         for (Index omega : {Index(4), Index(8)}) {
             for (bool sched : {false, true}) {
                 for (bool simd : {false, true}) {
                     if (!sched && simd)
                         continue; // simd only applies when scheduled
+                    if (graph && (sched || simd))
+                        continue; // graph rounds have one path
                     uint64_t cycles = 0;
                     double bytes = 0.0;
                     profile::Snapshot snap =
-                        runProfiled(a, kernel,
+                        runProfiled(graph ? g : a, kernel,
                                     makeParams(omega, sched, simd),
                                     &cycles, &bytes);
                     std::string what =
                         std::string(kernel) + " omega " +
                         std::to_string(omega) +
-                        (sched ? (simd ? " simd" : " scheduled")
-                               : " interpreter");
+                        (graph ? " graph rounds"
+                               : sched ? (simd ? " simd" : " scheduled")
+                                       : " interpreter");
                     EXPECT_EQ(snap.attributedCycles, cycles) << what;
                     EXPECT_EQ(double(snap.attributedBytes), bytes)
                         << what;

@@ -64,6 +64,19 @@ class ScheduleEquivalence : public ::testing::TestWithParam<Case>
 {
 };
 
+/** Test-name suffix "w<omega>_t<threads>".  Appended piecewise:
+ *  "w" + std::to_string(...) trips a GCC 12 -Wrestrict false positive
+ *  at -O2. */
+std::string
+caseName(const ::testing::TestParamInfo<Case> &info)
+{
+    std::string name = "w";
+    name += std::to_string(info.param.omega);
+    name += "_t";
+    name += std::to_string(info.param.threads);
+    return name;
+}
+
 } // namespace
 
 TEST_P(ScheduleEquivalence, SpmvBitIdentical)
@@ -198,10 +211,7 @@ INSTANTIATE_TEST_SUITE_P(
     OmegaThreads, ScheduleEquivalence,
     ::testing::Values(Case{4, 1, 11}, Case{4, 2, 12}, Case{4, 8, 13},
                       Case{8, 1, 14}, Case{8, 2, 15}, Case{8, 8, 16}),
-    [](const ::testing::TestParamInfo<Case> &info) {
-        return "w" + std::to_string(info.param.omega) + "_t" +
-               std::to_string(info.param.threads);
-    });
+    caseName);
 
 TEST(ScheduleEquivalence, PcgFullSolveBitIdentical)
 {
@@ -560,10 +570,7 @@ INSTANTIATE_TEST_SUITE_P(
     OmegaThreads, SimdReplayEquivalence,
     ::testing::Values(Case{4, 1, 31}, Case{4, 2, 32}, Case{4, 8, 33},
                       Case{8, 1, 34}, Case{8, 2, 35}, Case{8, 8, 36}),
-    [](const ::testing::TestParamInfo<Case> &info) {
-        return "w" + std::to_string(info.param.omega) + "_t" +
-               std::to_string(info.param.threads);
-    });
+    caseName);
 
 TEST(SimdReplay, EmptyMatrix)
 {

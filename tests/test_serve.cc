@@ -44,13 +44,24 @@ testMatrices()
             gen::randomSpd(37, 4, rng)};
 }
 
+/** Fleet name of test matrix @p i ("m0", "m1", ...).  Appended rather
+ *  than built with operator+, which trips a GCC 12 -Wrestrict false
+ *  positive at -O2. */
+std::string
+matrixName(size_t i)
+{
+    std::string name = "m";
+    name += std::to_string(i);
+    return name;
+}
+
 ServeFleet
 makeFleet(const AccelParams &params = {})
 {
     ServeFleet fleet(params);
     std::vector<CsrMatrix> ms = testMatrices();
     for (size_t i = 0; i < ms.size(); ++i)
-        fleet.add("m" + std::to_string(i), ms[i], true);
+        fleet.add(matrixName(i), ms[i], true);
     fleet.warmSchedules();
     return fleet;
 }
@@ -136,8 +147,9 @@ TEST(ServeTrace, ZipfSkewsTowardTheHeadAndMaskForcesSpmv)
     std::vector<uint32_t> counts(mask.size(), 0);
     for (const ServeRequest &r : trace) {
         ++counts[r.matrix];
-        if (!mask[r.matrix])
+        if (!mask[r.matrix]) {
             EXPECT_EQ(r.op, ServeOp::Spmv);
+        }
     }
     // Matrix 0 is the Zipf head: strictly most popular.
     EXPECT_GT(counts[0], counts[1]);
@@ -172,8 +184,9 @@ TEST(ServePlan, CoalescesOnlySameMatrixSpmvWithinWindow)
     std::vector<int> seen(trace.size(), 0);
     for (const ServeWorkItem &item : plan) {
         EXPECT_LE(item.requestIds.size(), size_t(window));
-        if (item.op != ServeOp::Spmv)
+        if (item.op != ServeOp::Spmv) {
             EXPECT_EQ(item.requestIds.size(), 1u);
+        }
         uint32_t anchor = item.requestIds.front();
         for (uint32_t id : item.requestIds) {
             ++seen[id];
@@ -329,7 +342,7 @@ TEST(ServeFleetTest, CacheRoundTripThroughDirectory)
     ServeFleet warm;
     std::vector<CsrMatrix> ms = testMatrices();
     for (size_t i = 0; i < ms.size(); ++i)
-        warm.add("m" + std::to_string(i), ms[i], true);
+        warm.add(matrixName(i), ms[i], true);
     EXPECT_EQ(warm.restoreScheduleCaches(dir), warm.size());
     warm.warmSchedules();
     EXPECT_EQ(warm.scheduleCompiles(), 0u) << "warm start compiled";
