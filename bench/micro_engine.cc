@@ -3,10 +3,16 @@
  * google-benchmark microbenchmarks of the simulator itself: host-side
  * throughput of the engine's kernel runs and of the preprocessing steps
  * (encode + convert), so regressions in the simulator's own speed are
- * visible.
+ * visible.  The scheduled kernel runs take the engine thread count as
+ * their argument (1 and 4), so a pooled run that costs more than the
+ * inline one shows up side by side:
+ *
+ *   build/bench/micro_engine --benchmark_filter='Engine(Spmv|Spmm|SymGs)'
  */
 
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "alrescha/accelerator.hh"
 #include "kernels/spmv.hh"
@@ -49,11 +55,21 @@ BM_ConvertSymGs(benchmark::State &state)
 }
 BENCHMARK(BM_ConvertSymGs);
 
+/** Default parameters with the engine thread count from the
+ *  benchmark argument (1 runs inline, N > 1 a private pool). */
+AccelParams
+engineParams(const benchmark::State &state)
+{
+    AccelParams p;
+    p.engineThreads = int(state.range(0));
+    return p;
+}
+
 void
 BM_EngineSpmv(benchmark::State &state)
 {
     const CsrMatrix &a = stencilMatrix();
-    Accelerator acc;
+    Accelerator acc(engineParams(state));
     acc.loadSpmvOnly(a);
     DenseVector x(a.cols(), 1.0);
     for (auto _ : state) {
@@ -62,13 +78,28 @@ BM_EngineSpmv(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations() * a.nnz());
 }
-BENCHMARK(BM_EngineSpmv);
+BENCHMARK(BM_EngineSpmv)->Arg(1)->Arg(4);
+
+void
+BM_EngineSpmm(benchmark::State &state)
+{
+    const CsrMatrix &a = stencilMatrix();
+    Accelerator acc(engineParams(state));
+    acc.loadSpmvOnly(a);
+    std::vector<DenseVector> xs(4, DenseVector(a.cols(), 1.0));
+    for (auto _ : state) {
+        std::vector<DenseVector> ys = acc.spmm(xs);
+        benchmark::DoNotOptimize(ys.data());
+    }
+    state.SetItemsProcessed(state.iterations() * a.nnz() * xs.size());
+}
+BENCHMARK(BM_EngineSpmm)->Arg(1)->Arg(4);
 
 void
 BM_EngineSymGsSweep(benchmark::State &state)
 {
     const CsrMatrix &a = stencilMatrix();
-    Accelerator acc;
+    Accelerator acc(engineParams(state));
     acc.loadPde(a);
     DenseVector b(a.rows(), 1.0);
     DenseVector x(a.rows(), 0.0);
@@ -78,7 +109,7 @@ BM_EngineSymGsSweep(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations() * a.nnz());
 }
-BENCHMARK(BM_EngineSymGsSweep);
+BENCHMARK(BM_EngineSymGsSweep)->Arg(1)->Arg(4);
 
 void
 BM_ReferenceSpmv(benchmark::State &state)

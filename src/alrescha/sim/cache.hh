@@ -62,7 +62,7 @@ class CacheModel
     /** Valid lines currently resident (timeline occupancy counter). */
     size_t occupancy() const;
 
-    // ---- shadow-replay interface (parallel timing walk) ----
+    // ---- shadow-replay interface (partitioned timing walk) ----
     //
     // The scheduled access trace is a static function of the schedule,
     // and a direct-mapped line's post-access state is the accessed tag
@@ -100,7 +100,7 @@ class CacheModel
     /**
      * Flush a replayed partition's counter deltas in one batch.  The
      * counts are exact integers, so one batched add is bit-identical
-     * to the serial walk's per-access increments; the port-occupancy
+     * to per-access increments (the interpreter's); the port-occupancy
      * charge is one cycle per access, as in read()/write().
      */
     void noteBatch(double reads, double writes, double hits,

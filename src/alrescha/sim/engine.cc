@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 
 #include <fstream>
@@ -27,23 +25,15 @@ using profile::Cause;
 
 /** Header of the persisted schedule-cache format ("Alrescha schedule
  *  cache").  Bump on any layout or hash change; version 2 moved the
- *  content keys and the body checksum from FNV-1a to the word hash. */
+ *  content keys and the body checksum from FNV-1a to the word hash,
+ *  version 3 dropped the D-SymGS level schedule from the body. */
 constexpr uint32_t kSchedCacheMagic = 0xA15ECAC1;
-constexpr uint32_t kSchedCacheVersion = 2;
+constexpr uint32_t kSchedCacheVersion = 3;
 
 Engine::Engine(const AccelParams &params)
     : _params(params), _memory(params), _fcu(params),
       _rcu(params, &_memory), _stats("alrescha")
 {
-    // ALR_PARALLEL_TIMING forces the partitioned timing walk on for
-    // every engine without touching call sites -- the lever the
-    // sanitizer CI uses to run the whole test suite through the
-    // parallel walk.  The walk is bit-identical to the serial one, so
-    // flipping it on cannot change any modeled number.
-    if (const char *env = std::getenv("ALR_PARALLEL_TIMING")) {
-        if (*env != '\0' && std::strcmp(env, "0") != 0)
-            _params.parallelTiming = true;
-    }
     _stats.registerScalar("cycles", &_cycles, "total execution cycles");
     _stats.registerScalar("cycles_seq", &_seqCycles,
                           "cycles in serialized D-SymGS paths");
@@ -550,21 +540,14 @@ Engine::runSpmv(const DenseVector &x, RunTiming *timing)
 }
 
 DenseVector
-Engine::runSpmvScheduled(const ExecSchedule &sched, const DenseVector &x,
+Engine::runSpmvScheduled(const ExecSchedule &S, const DenseVector &x,
                          RunTiming *timing)
 {
-    const ExecSchedule &S = sched;
     DenseVector y(_ld->rows(), 0.0);
 
     timeline::ScopedHostSpan hostSpan("spmv.sched", "run");
-    const bool tlOn = timeline::enabled();
     const uint64_t tlBase = totalCycles();
     profile::RunScope prof;
-    const uint64_t lineBytes = _params.cacheLineBytes;
-    // Compile-time reconfig charges are drain + exposed; the hidden
-    // share is the drain (see reconfigDelta in schedule.cc).
-    const uint64_t cfgExposed = uint64_t(
-        std::max(0, _params.configCycles - _params.drainCycles()));
 
     // Functional pass: block-row groups touch disjoint output rows, so
     // they may run in parallel; within a group the path order (and thus
@@ -584,124 +567,46 @@ Engine::runSpmvScheduled(const ExecSchedule &sched, const DenseVector &x,
         S.fns.spmv(S, xpad, y.data(), 0, S.pathCount);
     }
 
-    // Timing walk: replays the interpreter's exact cache access
-    // sequence (the cache is stateful across runs) -- serially, or
-    // through the partitioned walk (pwalk.hh) when parallelTiming is
-    // on; both produce bit-identical cycles, stats, and profiles.
-    RunTiming t;
-    if (_params.parallelTiming) {
-        pwalk::Ctx ctx{_params, _rcu, _memory, enginePool(), tlBase};
-        pwalk::GemvTiming g = pwalk::gemvWalk(ctx, S, 0, prof);
-        t.cycles = g.cycles;
-        t.parCycles = g.parCycles;
-        if (S.pathCount > 0) {
-            _rcu.setConfigured(S.lastDp);
-            _rcu.noteReconfigs(S.reconfigCount, S.reconfigStall);
-            _memory.recordStream(S.totalStreamBytes);
-            _fcu.noteOps(S.fcuOps);
-            if (S.parFlops != 0.0)
-                _parFlops += S.parFlops;
-            if (S.usefulBytes != 0.0)
-                _usefulBytes += S.usefulBytes;
-        }
-        t.cycles += uint64_t(_params.drainCycles());
-        prof.add(DataPathType::Gemv, -1, Cause::TreeDrain,
-                 uint64_t(_params.drainCycles()));
-        ALR_TRACE("spmv(sched): %zu paths, %llu cycles", S.pathCount,
-                  (unsigned long long)t.cycles);
-        emitTimelineTail(tlBase, t, nullptr);
-        addTiming(timing, t);
-        return y;
-    }
-    int64_t segStart = -1;
-    DataPathType segDp{};
-    if (S.pathCount > 0) {
-        uint64_t hidden0 = 0;
-        uint64_t cfg0 = _rcu.reconfigure(S.dp[0], &hidden0);
-        if (tlOn && cfg0)
-            timeline::span("reconfig", "rcu", timeline::kTidRcu, tlBase,
-                           cfg0);
-        prof.add(S.dp[0], S.blockRow[0], Cause::ReconfigHidden, hidden0);
-        prof.add(S.dp[0], S.blockRow[0], Cause::ReconfigExposed,
-                 cfg0 - hidden0);
-        t.cycles += cfg0;
-        for (size_t i = 0; i < S.pathCount; ++i) {
-            if (tlOn && segStart >= 0 && S.dp[i] != segDp) {
-                timeline::span(toString(segDp), "datapath",
-                               timeline::kTidDataPath, tlBase + segStart,
-                               t.cycles - uint64_t(segStart));
-                segStart = -1;
-            }
-            if (tlOn && S.cfgCycles[i])
-                timeline::span("reconfig", "rcu", timeline::kTidRcu,
-                               tlBase + t.cycles, S.cfgCycles[i]);
-            if (S.cfgCycles[i]) {
-                prof.add(S.dp[i], S.blockRow[i], Cause::ReconfigHidden,
-                         S.cfgCycles[i] - cfgExposed);
-                prof.add(S.dp[i], S.blockRow[i], Cause::ReconfigExposed,
-                         cfgExposed);
-            }
-            t.cycles += S.cfgCycles[i];
-            if (tlOn && S.fillCycles[i])
-                timeline::span("fill", "fcu", timeline::kTidFcu,
-                               tlBase + t.cycles, S.fillCycles[i]);
-            prof.add(S.dp[i], S.blockRow[i], Cause::FcuCompute,
-                     S.fillCycles[i]);
-            t.cycles += S.fillCycles[i];
-            if (tlOn && segStart < 0) {
-                segStart = int64_t(t.cycles);
-                segDp = S.dp[i];
-            }
-            if (S.writeOutRow[i] >= 0) {
-                bool wMiss = false;
-                t.cycles += _rcu.cache().write(
-                    CacheVec::Out, Index(S.writeOutRow[i]), &wMiss);
-                if (wMiss)
-                    prof.add(S.dp[i], S.writeOutRow[i], Cause::CacheMiss,
-                             0, lineBytes);
-            }
-            bool xMiss = false;
-            uint64_t xRead = _rcu.cache().read(S.operandVec[i],
-                                               S.blockCol[i], false,
-                                               &xMiss);
-            prof.add(S.dp[i], S.blockRow[i], Cause::CacheMiss, xRead,
-                     xMiss ? lineBytes : 0);
-            t.cycles += xRead;
-            prof.add(S.dp[i], S.blockRow[i], Cause::Stream,
-                     S.memCycles[i], S.streamBytes[i]);
-            prof.add(S.dp[i], S.blockRow[i], Cause::FcuCompute,
-                     S.streamCycles[i] - S.memCycles[i]);
-            t.cycles += S.streamCycles[i];
-            t.parCycles += S.streamCycles[i];
-        }
-        if (S.finalOutRow >= 0) {
-            bool wMiss = false;
-            t.cycles += _rcu.cache().write(CacheVec::Out,
-                                           Index(S.finalOutRow), &wMiss);
-            if (wMiss)
-                prof.add(S.lastDp, S.finalOutRow, Cause::CacheMiss, 0,
-                         lineBytes);
-        }
-        _rcu.setConfigured(S.lastDp);
-        _rcu.noteReconfigs(S.reconfigCount, S.reconfigStall);
-        _memory.recordStream(S.totalStreamBytes);
-        _fcu.noteOps(S.fcuOps);
-        if (S.parFlops != 0.0)
-            _parFlops += S.parFlops;
-        if (S.usefulBytes != 0.0)
-            _usefulBytes += S.usefulBytes;
-    }
-    if (tlOn && segStart >= 0)
-        timeline::span(toString(segDp), "datapath", timeline::kTidDataPath,
-                       tlBase + segStart, t.cycles - uint64_t(segStart));
-    t.cycles += uint64_t(_params.drainCycles());
-    prof.add(DataPathType::Gemv, -1, Cause::TreeDrain,
-             uint64_t(_params.drainCycles()));
+    RunTiming t = gemvTiming(S, 0, pool, tlBase, prof);
     ALR_TRACE("spmv(sched): %zu paths, %llu cycles", S.pathCount,
               (unsigned long long)t.cycles);
     emitTimelineTail(tlBase, t, nullptr);
     addTiming(timing, t);
     return y;
+}
+
+RunTiming
+Engine::gemvTiming(const ExecSchedule &S, size_t k, ThreadPool *pool,
+                   uint64_t tl_base, profile::RunScope &prof)
+{
+    // Timing walk: the partitioned walk (pwalk.hh) replays the
+    // interpreter's exact cache access sequence -- the cache is
+    // stateful across runs -- then the schedule's per-run totals flush
+    // in one batch, scaled by the right-hand-side count for SpMM.
+    const double reps = k == 0 ? 1.0 : double(k);
+    pwalk::Ctx ctx{_params, _rcu, _memory, pool, tl_base};
+    pwalk::GemvTiming g = pwalk::gemvWalk(ctx, S, k, prof);
+    RunTiming t;
+    t.cycles = g.cycles;
+    t.parCycles = g.parCycles;
+    if (S.pathCount > 0) {
+        _rcu.setConfigured(S.lastDp);
+        _rcu.noteReconfigs(S.reconfigCount, S.reconfigStall);
+        _memory.recordStream(k == 0 ? S.totalStreamBytes
+                                    : S.spmmStreamBytes);
+        _fcu.noteOps(FcuOpCounts{S.fcuOps.alu * reps,
+                                 S.fcuOps.reduce * reps,
+                                 S.fcuOps.mul * reps,
+                                 S.fcuOps.add * reps});
+        if (S.parFlops != 0.0)
+            _parFlops += S.parFlops * reps;
+        if (S.usefulBytes != 0.0)
+            _usefulBytes += S.usefulBytes;
+    }
+    t.cycles += uint64_t(_params.drainCycles());
+    prof.add(DataPathType::Gemv, -1, Cause::TreeDrain,
+             uint64_t(_params.drainCycles()));
+    return t;
 }
 
 std::vector<DenseVector>
@@ -843,16 +748,16 @@ Engine::runSpmm(const std::vector<DenseVector> &xs, RunTiming *timing)
 }
 
 std::vector<DenseVector>
-Engine::runSpmmScheduled(const ExecSchedule &sched,
+Engine::runSpmmScheduled(const ExecSchedule &S,
                          const std::vector<DenseVector> &xs,
                          RunTiming *timing)
 {
     const size_t k = xs.size();
-    const ExecSchedule &S = sched;
     std::vector<DenseVector> ys(k, DenseVector(_ld->rows(), 0.0));
 
     timeline::ScopedHostSpan hostSpan("spmm.sched", "run");
     const uint64_t tlBase = totalCycles();
+    profile::RunScope prof;
 
     // Functional pass (see runSpmvScheduled): the block streams once,
     // its rows issue once per right-hand side.  All k operands stage
@@ -881,111 +786,7 @@ Engine::runSpmmScheduled(const ExecSchedule &sched,
         S.fns.spmm(S, xp.data(), yp.data(), k, 0, S.pathCount);
     }
 
-    RunTiming t;
-    profile::RunScope prof;
-    const uint64_t lineBytes = _params.cacheLineBytes;
-    const uint64_t cfgExposed = uint64_t(
-        std::max(0, _params.configCycles - _params.drainCycles()));
-    if (_params.parallelTiming) {
-        pwalk::Ctx ctx{_params, _rcu, _memory, enginePool(), tlBase};
-        pwalk::GemvTiming g = pwalk::gemvWalk(ctx, S, k, prof);
-        t.cycles = g.cycles;
-        t.parCycles = g.parCycles;
-        if (S.pathCount > 0) {
-            _rcu.setConfigured(S.lastDp);
-            _rcu.noteReconfigs(S.reconfigCount, S.reconfigStall);
-            _memory.recordStream(S.spmmStreamBytes);
-            FcuOpCounts scaled{S.fcuOps.alu * double(k),
-                               S.fcuOps.reduce * double(k),
-                               S.fcuOps.mul * double(k),
-                               S.fcuOps.add * double(k)};
-            _fcu.noteOps(scaled);
-            if (S.parFlops != 0.0)
-                _parFlops += S.parFlops * double(k);
-            if (S.usefulBytes != 0.0)
-                _usefulBytes += S.usefulBytes;
-        }
-        t.cycles += uint64_t(_params.drainCycles());
-        prof.add(DataPathType::Gemv, -1, Cause::TreeDrain,
-                 uint64_t(_params.drainCycles()));
-        emitTimelineTail(tlBase, t, "spmm");
-        addTiming(timing, t);
-        return ys;
-    }
-    if (S.pathCount > 0) {
-        uint64_t hidden0 = 0;
-        uint64_t cfg0 = _rcu.reconfigure(S.dp[0], &hidden0);
-        prof.add(S.dp[0], S.blockRow[0], Cause::ReconfigHidden, hidden0);
-        prof.add(S.dp[0], S.blockRow[0], Cause::ReconfigExposed,
-                 cfg0 - hidden0);
-        t.cycles += cfg0;
-        for (size_t i = 0; i < S.pathCount; ++i) {
-            if (S.cfgCycles[i]) {
-                prof.add(S.dp[i], S.blockRow[i], Cause::ReconfigHidden,
-                         S.cfgCycles[i] - cfgExposed);
-                prof.add(S.dp[i], S.blockRow[i], Cause::ReconfigExposed,
-                         cfgExposed);
-            }
-            t.cycles += S.cfgCycles[i];
-            prof.add(S.dp[i], S.blockRow[i], Cause::FcuCompute,
-                     S.fillCycles[i]);
-            t.cycles += S.fillCycles[i];
-            if (S.writeOutRow[i] >= 0) {
-                for (size_t j = 0; j < k; ++j) {
-                    bool wMiss = false;
-                    t.cycles += _rcu.cache().write(
-                        CacheVec::Out, Index(S.writeOutRow[i]), &wMiss);
-                    if (wMiss)
-                        prof.add(S.dp[i], S.writeOutRow[i],
-                                 Cause::CacheMiss, 0, lineBytes);
-                }
-            }
-            for (size_t j = 0; j < k; ++j) {
-                bool xMiss = false;
-                uint64_t xRead = _rcu.cache().read(S.operandVec[i],
-                                                   S.blockCol[i], false,
-                                                   &xMiss);
-                prof.add(S.dp[i], S.blockRow[i], Cause::CacheMiss, xRead,
-                         xMiss ? lineBytes : 0);
-                t.cycles += xRead;
-            }
-            uint64_t bc = std::max(S.spmmMemCycles[i],
-                                   uint64_t(S.streamedRows[i]) * k);
-            prof.add(S.dp[i], S.blockRow[i], Cause::Stream,
-                     S.spmmMemCycles[i],
-                     uint64_t(S.streamedRows[i]) * S.omega *
-                         sizeof(Value));
-            prof.add(S.dp[i], S.blockRow[i], Cause::FcuCompute,
-                     bc - S.spmmMemCycles[i]);
-            t.cycles += bc;
-            t.parCycles += bc;
-        }
-        if (S.finalOutRow >= 0) {
-            for (size_t j = 0; j < k; ++j) {
-                bool wMiss = false;
-                t.cycles += _rcu.cache().write(
-                    CacheVec::Out, Index(S.finalOutRow), &wMiss);
-                if (wMiss)
-                    prof.add(DataPathType::Gemv, S.finalOutRow,
-                             Cause::CacheMiss, 0, lineBytes);
-            }
-        }
-        _rcu.setConfigured(S.lastDp);
-        _rcu.noteReconfigs(S.reconfigCount, S.reconfigStall);
-        _memory.recordStream(S.spmmStreamBytes);
-        FcuOpCounts scaled{S.fcuOps.alu * double(k),
-                           S.fcuOps.reduce * double(k),
-                           S.fcuOps.mul * double(k),
-                           S.fcuOps.add * double(k)};
-        _fcu.noteOps(scaled);
-        if (S.parFlops != 0.0)
-            _parFlops += S.parFlops * double(k);
-        if (S.usefulBytes != 0.0)
-            _usefulBytes += S.usefulBytes;
-    }
-    t.cycles += uint64_t(_params.drainCycles());
-    prof.add(DataPathType::Gemv, -1, Cause::TreeDrain,
-             uint64_t(_params.drainCycles()));
+    RunTiming t = gemvTiming(S, k, pool, tlBase, prof);
     emitTimelineTail(tlBase, t, "spmm");
     addTiming(timing, t);
     return ys;
@@ -1252,207 +1053,64 @@ Engine::runSymgsSweep(const DenseVector &b, DenseVector &x,
 }
 
 void
-Engine::runSymgsScheduled(const ExecSchedule &sched, const DenseVector &b,
+Engine::runSymgsScheduled(const ExecSchedule &S, const DenseVector &b,
                           DenseVector &x, RunTiming *timing)
 {
     const Index omega = _params.omega;
-    const Index rows = _ld->rows();
     const DenseVector &diag = _ld->diagonal();
-    const ExecSchedule &S = sched;
     RunTiming t;
 
     timeline::ScopedHostSpan hostSpan("symgs.sched", "run");
-    const bool tlOn = timeline::enabled();
     const uint64_t tlBase = totalCycles();
-    int64_t segStart = -1;
-    DataPathType segDp{};
     profile::RunScope prof;
-    const uint64_t lineBytes = _params.cacheLineBytes;
-    const uint64_t cfgExposed = uint64_t(
-        std::max(0, _params.configCycles - _params.drainCycles()));
-
-    // Fused functional + timing pass: the sweep is inherently
-    // sequential (each diagonal chain updates x for the GEMV gathers
-    // that follow), so one walk replays the interpreter's exact cache
-    // and link-stack sequence while reading precompiled values.  The
-    // iterate stages into the padded aligned buffer once and is the
-    // working vector for the whole sweep (the GEMV majority of the
-    // paths then runs through the ω-wide replay kernels); the diagonal
-    // chains stay scalar -- they are the serialized recurrence.
     uint64_t stream_t = 0; // streaming/pipelined front
     uint64_t dep_t = 0;    // completion of the dependence chain
 
-    Value *xw = stageOperand(S, x);
-    if (_params.parallelTiming) {
-        // Parallel sweep: the functional pass runs level-scheduled over
-        // the diagonal-chain dependence structure (gathers of a level
-        // in parallel, then its chains; levels are barriers), and the
-        // timing walk runs partitioned (pwalk.hh).  Both are ordered
-        // reductions over schedule-fixed decompositions, so every
-        // number matches the fused serial walk bit for bit.
-        if (S.pathCount > 0) {
-            size_t depth0 = _rcu.linkStack().depth();
-            runSymgsLevels(S, b, xw);
-            pwalk::Ctx ctx{_params, _rcu, _memory, enginePool(), tlBase};
-            pwalk::SymgsTiming st = pwalk::symgsWalk(ctx, S, depth0, prof);
-            stream_t = st.streamT;
-            dep_t = st.depT;
-            t.seqCycles = st.seqCycles;
-            std::copy(_xpad.begin(), _xpad.begin() + std::ptrdiff_t(rows),
-                      x.begin());
-            _rcu.setConfigured(S.lastDp);
-            _rcu.noteReconfigs(S.reconfigCount, S.reconfigStall);
-            _memory.recordStream(S.totalStreamBytes);
-            _fcu.noteOps(S.fcuOps);
-            _rcu.notePeOps(S.peOps);
-            if (S.parFlops != 0.0)
-                _parFlops += S.parFlops;
-            if (S.seqFlops != 0.0)
-                _seqFlops += S.seqFlops;
-            if (S.usefulBytes != 0.0)
-                _usefulBytes += S.usefulBytes;
-        }
-        t.parCycles = stream_t;
-        t.cycles =
-            std::max(stream_t, dep_t) + uint64_t(_params.drainCycles());
-        prof.add(DataPathType::DSymgs, -1, Cause::TreeDrain,
-                 uint64_t(_params.drainCycles()));
-        prof.commitSymgs(stream_t, dep_t,
-                         uint64_t(_params.pipelineDepth()));
-        ALR_TRACE("symgs(sched): stream %llu cycles, chain %llu cycles",
-                  (unsigned long long)stream_t,
-                  (unsigned long long)dep_t);
-        emitTimelineTail(tlBase, t, nullptr);
-        addTiming(timing, t);
-        return;
-    }
-    std::vector<Value> partials(omega);
-    std::vector<Value> lanes(fcutree::ceilPow2(omega));
     if (S.pathCount > 0) {
-        uint64_t hidden0 = 0;
-        uint64_t cfg0 = _rcu.reconfigure(S.dp[0], &hidden0);
-        if (tlOn && cfg0)
-            timeline::span("reconfig", "rcu", timeline::kTidRcu, tlBase,
-                           cfg0);
-        prof.add(S.dp[0], S.blockRow[0], Cause::ReconfigHidden, hidden0);
-        prof.add(S.dp[0], S.blockRow[0], Cause::ReconfigExposed,
-                 cfg0 - hidden0);
-        stream_t += cfg0;
+        // Functional pass, in path order: it is the sweep's own
+        // recurrence (each diagonal chain updates x for the GEMV
+        // gathers that follow).  Every GEMV path gathers its ω partial
+        // sums through the replay kernels into the link stack; every
+        // D-SymGS path pops them and runs its scalar diagonal chain.
+        // The iterate stages into the padded aligned buffer once and is
+        // the working vector for the whole sweep.
+        const size_t depth0 = _rcu.linkStack().depth();
+        Value *xw = stageOperand(S, x);
+        std::vector<Value> partials(omega);
+        std::vector<Value> lanes(fcutree::ceilPow2(omega));
         for (size_t i = 0; i < S.pathCount; ++i) {
-            if (tlOn && segStart >= 0 && S.dp[i] != segDp) {
-                timeline::span(toString(segDp), "datapath",
-                               timeline::kTidDataPath, tlBase + segStart,
-                               stream_t - uint64_t(segStart));
-                segStart = -1;
-            }
-            if (tlOn && S.cfgCycles[i])
-                timeline::span("reconfig", "rcu", timeline::kTidRcu,
-                               tlBase + stream_t, S.cfgCycles[i]);
-            if (S.cfgCycles[i]) {
-                prof.add(S.dp[i], S.blockRow[i], Cause::ReconfigHidden,
-                         S.cfgCycles[i] - cfgExposed);
-                prof.add(S.dp[i], S.blockRow[i], Cause::ReconfigExposed,
-                         cfgExposed);
-            }
-            stream_t += S.cfgCycles[i];
             if (S.dp[i] == DataPathType::Gemv) {
-                if (tlOn && S.fillCycles[i])
-                    timeline::span("fill", "fcu", timeline::kTidFcu,
-                                   tlBase + stream_t, S.fillCycles[i]);
-                prof.add(S.dp[i], S.blockRow[i], Cause::FcuCompute,
-                         S.fillCycles[i]);
-                stream_t += S.fillCycles[i];
-                if (tlOn && segStart < 0) {
-                    segStart = int64_t(stream_t);
-                    segDp = S.dp[i];
-                }
-                bool xMiss = false;
-                uint64_t xRead = _rcu.cache().read(S.operandVec[i],
-                                                   S.blockCol[i], false,
-                                                   &xMiss);
-                prof.add(S.dp[i], S.blockRow[i], Cause::CacheMiss, xRead,
-                         xMiss ? lineBytes : 0);
-                stream_t += xRead;
                 std::fill(partials.begin(), partials.end(), 0.0);
                 S.fns.symgs(S, i, xw, partials.data());
-                prof.add(S.dp[i], S.blockRow[i], Cause::Stream,
-                         S.memCycles[i], S.streamBytes[i]);
-                prof.add(S.dp[i], S.blockRow[i], Cause::FcuCompute,
-                         S.streamCycles[i] - S.memCycles[i]);
-                stream_t += S.streamCycles[i];
                 _rcu.linkStack().push(partials);
-                if (tlOn)
-                    timeline::counter(
-                        "link_depth", tlBase + stream_t,
-                        double(_rcu.linkStack().depth()));
-            } else {
-                if (tlOn && segStart < 0) {
-                    segStart = int64_t(stream_t);
-                    segDp = S.dp[i];
-                }
-                Index br = S.blockRow[i];
-                Index r0 = br * omega;
-                prof.add(S.dp[i], br, Cause::Stream, S.memCycles[i],
-                         S.streamBytes[i]);
-                prof.add(S.dp[i], br, Cause::FcuCompute,
-                         S.streamCycles[i] - S.memCycles[i]);
-                stream_t += S.streamCycles[i];
-
-                bool dMiss = false;
-                uint64_t diag_read =
-                    _rcu.cache().read(CacheVec::Diag, br, true, &dMiss);
-                if (dMiss)
-                    prof.add(S.dp[i], br, Cause::CacheMiss, 0,
-                             lineBytes);
-                uint64_t dep_in = dep_t;
-                uint64_t start =
-                    std::max(stream_t +
-                                 uint64_t(_params.pipelineDepth()),
-                             dep_t) +
-                    diag_read;
-
-                DenseVector acc = _rcu.linkStack().popAccumulate(omega);
-                for (size_t rr = S.rowBegin[i]; rr < S.rowBegin[i + 1];
-                     ++rr) {
-                    Index r = S.rowIndex[rr];
-                    Index lr = r - r0;
-                    const Value *v = &S.values[rr * omega];
-                    // The diagonal lane stays explicitly masked (the
-                    // interpreter zeroes value *and* operand there;
-                    // the padded buffer covers the matrix-edge lanes).
-                    for (Index lc = 0; lc < omega; ++lc)
-                        lanes[lc] =
-                            v[lc] * (lc == lr ? 0.0 : xw[r0 + lc]);
-                    Value dot = fcutree::sumTree(lanes.data(), omega);
-                    Value sum = acc[lr] + dot;
-                    xw[r] = (b[r] - sum) / diag[r];
-                }
-                bool xwMiss = false;
-                uint64_t xtWrite =
-                    _rcu.cache().write(CacheVec::Xt, br, &xwMiss);
-                if (xwMiss)
-                    prof.add(S.dp[i], br, Cause::CacheMiss, 0,
-                             lineBytes);
-                dep_t = start + S.chainCycles[i] + xtWrite;
-                prof.chain(br, stream_t, dep_in, start, S.chainCycles[i],
-                           dep_t);
-                t.seqCycles += S.chainCycles[i];
-                if (tlOn) {
-                    timeline::span("d-symgs chain", "datapath",
-                                   timeline::kTidChain, tlBase + start,
-                                   S.chainCycles[i]);
-                    timeline::counter("link_depth", tlBase + start, 0.0);
-                }
+                continue;
+            }
+            const Index r0 = S.blockRow[i] * omega;
+            DenseVector acc = _rcu.linkStack().popAccumulate(omega);
+            for (size_t rr = S.rowBegin[i]; rr < S.rowBegin[i + 1]; ++rr) {
+                Index r = S.rowIndex[rr];
+                Index lr = r - r0;
+                const Value *v = &S.values[rr * omega];
+                // The diagonal lane stays explicitly masked (the
+                // interpreter zeroes value *and* operand there; the
+                // padded buffer covers the matrix-edge lanes).
+                for (Index lc = 0; lc < omega; ++lc)
+                    lanes[lc] = v[lc] * (lc == lr ? 0.0 : xw[r0 + lc]);
+                Value dot = fcutree::sumTree(lanes.data(), omega);
+                Value sum = acc[lr] + dot;
+                xw[r] = (b[r] - sum) / diag[r];
             }
         }
-        if (tlOn && segStart >= 0) {
-            timeline::span(toString(segDp), "datapath",
-                           timeline::kTidDataPath, tlBase + segStart,
-                           stream_t - uint64_t(segStart));
-            segStart = -1;
-        }
-        std::copy(_xpad.begin(), _xpad.begin() + std::ptrdiff_t(rows),
+        std::copy(_xpad.begin(), _xpad.begin() + std::ptrdiff_t(x.size()),
                   x.begin());
+
+        // Timing walk: the partitioned walk simulates the link-stack
+        // depth from its value before the functional pass.
+        pwalk::Ctx ctx{_params, _rcu, _memory, enginePool(), tlBase};
+        pwalk::SymgsTiming st = pwalk::symgsWalk(ctx, S, depth0, prof);
+        stream_t = st.streamT;
+        dep_t = st.depT;
+        t.seqCycles = st.seqCycles;
         _rcu.setConfigured(S.lastDp);
         _rcu.noteReconfigs(S.reconfigCount, S.reconfigStall);
         _memory.recordStream(S.totalStreamBytes);
@@ -1475,85 +1133,6 @@ Engine::runSymgsScheduled(const ExecSchedule &sched, const DenseVector &b,
               (unsigned long long)stream_t, (unsigned long long)dep_t);
     emitTimelineTail(tlBase, t, nullptr);
     addTiming(timing, t);
-}
-
-void
-Engine::runSymgsLevels(const ExecSchedule &S, const DenseVector &b,
-                       Value *xw)
-{
-    const Index omega = _params.omega;
-    const DenseVector &diag = _ld->diagonal();
-    ThreadPool *pool = enginePool();
-    ALR_ASSERT(S.levelBegin.size() >= 2,
-               "SymGS schedule compiled without levels");
-
-    std::vector<Value> slab;
-    std::vector<std::pair<size_t, DenseVector>> chains;
-    for (size_t l = 0; l + 1 < S.levelBegin.size(); ++l) {
-        const size_t lb = S.levelBegin[l], le = S.levelBegin[l + 1];
-        // (a) Every GEMV gather of the level reads iterate state from
-        // previous levels only (the level rule in compileSchedule), so
-        // the gathers run in parallel into per-path slab slots.
-        slab.assign((le - lb) * omega, 0.0);
-        auto gather = [&](size_t i) {
-            if (S.dp[i] == DataPathType::Gemv)
-                S.fns.symgs(S, i, xw,
-                            slab.data() + (i - lb) * omega);
-        };
-        if (pool && le - lb > 1) {
-            pool->parallelFor(lb, le, [&](size_t i) {
-                timeline::ScopedHostSpan gSpan("symgs.gather", "worker");
-                gather(i);
-            });
-        } else {
-            for (size_t i = lb; i < le; ++i)
-                gather(i);
-        }
-        // (b) The link stack is driven serially in path order: the
-        // exact push/pop sequence -- and thus the exact accumulation
-        // order and stack stats -- of the fused serial walk.
-        chains.clear();
-        for (size_t i = lb; i < le; ++i) {
-            if (S.dp[i] == DataPathType::Gemv) {
-                const Value *p = slab.data() + (i - lb) * omega;
-                _rcu.linkStack().push(DenseVector(p, p + omega));
-            } else {
-                chains.emplace_back(
-                    i, _rcu.linkStack().popAccumulate(omega));
-            }
-        }
-        // (c) Diagonal chains write disjoint chunks of the iterate and
-        // read only their own chunk (plus read-only b/diag), so they
-        // run in parallel; the in-chain recurrence is the fused walk's
-        // scalar math, step for step (sumTree zeroes its own pad
-        // lanes, so the per-chain scratch needs no pre-clearing).
-        auto runChain = [&](size_t c) {
-            const size_t i = chains[c].first;
-            const DenseVector &acc = chains[c].second;
-            const Index r0 = S.blockRow[i] * omega;
-            std::vector<Value> lanes(fcutree::ceilPow2(omega));
-            for (size_t rr = S.rowBegin[i]; rr < S.rowBegin[i + 1];
-                 ++rr) {
-                Index r = S.rowIndex[rr];
-                Index lr = r - r0;
-                const Value *v = &S.values[rr * omega];
-                for (Index lc = 0; lc < omega; ++lc)
-                    lanes[lc] = v[lc] * (lc == lr ? 0.0 : xw[r0 + lc]);
-                Value dot = fcutree::sumTree(lanes.data(), omega);
-                Value sum = acc[lr] + dot;
-                xw[r] = (b[r] - sum) / diag[r];
-            }
-        };
-        if (pool && chains.size() > 1) {
-            pool->parallelFor(0, chains.size(), [&](size_t c) {
-                timeline::ScopedHostSpan cSpan("symgs.chain", "worker");
-                runChain(c);
-            });
-        } else {
-            for (size_t c = 0; c < chains.size(); ++c)
-                runChain(c);
-        }
-    }
 }
 
 DenseVector

@@ -39,6 +39,10 @@ namespace alr {
 
 class ThreadPool;
 
+namespace profile {
+class RunScope;
+}
+
 /** Timing outcome of one engine run. */
 struct RunTiming
 {
@@ -285,30 +289,29 @@ class Engine
      *  kernel is not schedulable). */
     const ExecSchedule *scheduleFor();
 
-    /** Pool for the scheduled functional pass (nullptr = run inline). */
+    /** Pool for the scheduled functional pass and timing walk (nullptr
+     *  = run inline). */
     ThreadPool *enginePool();
 
     /** Stage @p x into the aligned, chunk-padded gather-plan buffer. */
     Value *stageOperand(const ExecSchedule &S, const DenseVector &x);
 
-    DenseVector runSpmvScheduled(const ExecSchedule &sched,
+    DenseVector runSpmvScheduled(const ExecSchedule &S,
                                  const DenseVector &x, RunTiming *timing);
     std::vector<DenseVector>
-    runSpmmScheduled(const ExecSchedule &sched,
+    runSpmmScheduled(const ExecSchedule &S,
                      const std::vector<DenseVector> &xs, RunTiming *timing);
-    void runSymgsScheduled(const ExecSchedule &sched, const DenseVector &b,
+    void runSymgsScheduled(const ExecSchedule &S, const DenseVector &b,
                            DenseVector &x, RunTiming *timing);
 
     /**
-     * Level-scheduled functional D-SymGS sweep (parallelTiming): per
-     * level, run the GEMV gathers in parallel, drive the link stack
-     * serially in path order, then run the diagonal chains in parallel
-     * (they touch disjoint iterate chunks).  Bit-identical to the fused
-     * serial walk's functional effect on @p xw and the link-stack
-     * stats; touches no timing state.
+     * Timing of one scheduled SpMV (@p k == 0) or SpMM (@p k right-hand
+     * sides) run: the partitioned walk over the schedule's cache trace
+     * (on @p pool, or inline when null), the schedule's per-run stat
+     * totals, and the end-of-run tree drain.
      */
-    void runSymgsLevels(const ExecSchedule &S, const DenseVector &b,
-                        Value *xw);
+    RunTiming gemvTiming(const ExecSchedule &S, size_t k, ThreadPool *pool,
+                         uint64_t tl_base, profile::RunScope &prof);
 
     AccelParams _params;
     MemoryModel _memory;

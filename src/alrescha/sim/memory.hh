@@ -32,7 +32,7 @@ class MemoryModel
     uint64_t recordRandomAccess();
 
     /**
-     * Record @p n random accesses in one batch (the parallel timing
+     * Record @p n random accesses in one batch (the partitioned timing
      * walk's per-partition flush).  Counts are exact integers, so one
      * batched add is bit-identical to n recordRandomAccess() calls.
      */

@@ -236,8 +236,7 @@ gemvWalk(const Ctx &ctx, const ExecSchedule &S, size_t k,
     const size_t lineCount = cache.lineCount();
 
     // Run-start reconfiguration: the one transition whose predecessor
-    // is runtime state, replayed through the real RCU as the serial
-    // walk does.
+    // is runtime state, replayed through the real RCU.
     uint64_t hidden0 = 0;
     uint64_t cfg0 = ctx.rcu.reconfigure(S.dp[0], &hidden0);
 
@@ -306,9 +305,9 @@ gemvWalk(const Ctx &ctx, const ExecSchedule &S, size_t k,
     cache.noteBatch(reads, writes, hits, misses);
     ctx.memory.noteRandomAccesses(misses);
 
-    // Serial arithmetic scan: re-derive the run cycles from the
+    // In-order arithmetic scan: re-derive the run cycles from the
     // resolved per-access results, emitting profile charges (and, for
-    // SpMV, timeline events) in the serial walk's exact order, and
+    // SpMV, timeline events) in the interpreter's exact order, and
     // assert the partition prefix sums at every boundary -- the
     // per-partition conservation oracle.
     const bool spansOn = timeline::enabled() && k == 0;
@@ -393,8 +392,8 @@ gemvWalk(const Ctx &ctx, const ExecSchedule &S, size_t k,
     ALR_ASSERT(running == prefix[nparts],
                "partitioned walk total diverged from combine");
     if (S.finalOutRow >= 0) {
-        // The serial SpMV walk attributes the final writeback to the
-        // run's last data path; the SpMM walk hardcodes GEMV.
+        // The interpreter's SpMV attributes the final writeback to the
+        // run's last data path; its SpMM hardcodes GEMV.
         DataPathType fdp = k == 0 ? S.lastDp : DataPathType::Gemv;
         for (size_t j = 0; j < reps; ++j)
             if (finalMiss[j])
@@ -476,9 +475,9 @@ symgsWalk(const Ctx &ctx, const ExecSchedule &S,
     cache.noteBatch(reads, writes, hits, misses);
     ctx.memory.noteRandomAccesses(misses);
 
-    // Serial scan: stream prefix + dependence-chain recurrence over
-    // the resolved access results, mirroring the serial fused walk's
-    // exact profile/timeline emission order.  The link-stack depth is
+    // In-order scan: stream prefix + dependence-chain recurrence over
+    // the resolved access results, in the interpreter's exact
+    // profile/timeline emission order.  The link-stack depth is
     // simulated (one push per GEMV path, drained by each chain), never
     // touching the real stack the functional pass already drove.
     const bool tlOn = timeline::enabled();

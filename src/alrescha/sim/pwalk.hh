@@ -1,35 +1,39 @@
 /**
  * @file
- * Partitioned (parallel) timing walk over a compiled ExecSchedule.
+ * The timing walk over a compiled ExecSchedule, partitioned so it can
+ * run on the engine pool.
  *
- * The serial timing walk is a left-to-right scan of the schedule whose
- * only *stateful* ingredient is the RCU local cache: every other
- * per-path charge (reconfig, fill, stream, issue) is a schedule
- * constant.  The cache access trace is itself schedule-static -- which
- * line each access maps to and which tag it installs never depend on
- * runtime values -- and a direct-mapped line's post-access state is the
- * accessed tag regardless of what it held before.  Those two facts make
- * the walk partition-composable:
+ * Timing a run is a left-to-right scan of the schedule's paths (the
+ * interpreter's in-order data-path stream) whose only *stateful*
+ * ingredient is the RCU local cache: every other per-path charge
+ * (reconfig, fill, stream, issue) is a schedule constant.  The cache
+ * access trace is itself schedule-static -- which line each access
+ * maps to and which tag it installs never depend on runtime values --
+ * and a direct-mapped line's post-access state is the accessed tag
+ * regardless of what it held before.  Those two facts make the walk
+ * partition-composable:
  *
  *  1. Partition the path sequence at the schedule's fixed partBegin
  *     boundaries (a schedule constant, never the thread count).
- *  2. Replay each partition in parallel against a private shadow copy
- *     of the line array.  Every access except the *first* one to each
- *     line resolves exactly (the first access installed a known tag);
- *     the at-most-lineCount unresolved "boundary" accesses per
- *     partition are recorded instead of guessed.
- *  3. Combine serially in partition order: resolve each partition's
- *     boundary accesses against the composed predecessor state, apply
- *     its final line images, and prefix-sum its cycle total.
- *  4. One serial arithmetic scan over the resolved per-access results
- *     then re-emits the profile buckets and timeline events in the
- *     serial walk's exact order and re-derives the run cycles,
- *     asserting at every partition boundary that the prefix sums agree
- *     (the per-partition conservation oracle).
+ *  2. Replay each partition -- on the pool, or inline without one --
+ *     against a private shadow copy of the line array.  Every access
+ *     except the *first* one to each line resolves exactly (the first
+ *     access installed a known tag); the at-most-lineCount unresolved
+ *     "boundary" accesses per partition are recorded instead of
+ *     guessed.
+ *  3. Combine in partition order: resolve each partition's boundary
+ *     accesses against the composed predecessor state, apply its final
+ *     line images, and prefix-sum its cycle total.
+ *  4. One in-order arithmetic scan over the resolved per-access results
+ *     then emits the profile buckets and timeline events in path order
+ *     and re-derives the run cycles, asserting at every partition
+ *     boundary that the prefix sums agree (the per-partition
+ *     conservation oracle).
  *
  * The combination is an ordered reduction over fixed partitions, so
  * results, cycles, stat dumps, timelines, and profiles are bit-for-bit
- * identical to the serial walk at any thread count -- including one.
+ * identical to the interpreter's at any thread count -- including
+ * one.
  */
 
 #ifndef ALR_ALRESCHA_SIM_PWALK_HH
@@ -57,8 +61,7 @@ struct Ctx
     Rcu &rcu;
     MemoryModel &memory;
     /** Pool for the partition replay; nullptr runs partitions inline
-     *  (same partitioned algorithm, zero threads -- the threads==1
-     *  member of the bit-identity sweep). */
+     *  (same partitioned algorithm, no worker threads). */
     ThreadPool *pool;
     /** Engine cumulative cycles at run start (timeline base). */
     uint64_t tlBase;
@@ -80,26 +83,25 @@ struct SymgsTiming
 };
 
 /**
- * Partitioned timing walk for SpMV (@p k == 0) or SpMM with @p k
- * right-hand sides (@p k >= 1).  Replays the run's first
- * reconfiguration through the real RCU, walks the cache trace in
- * partitions, flushes the cache/memory counter deltas, and emits
- * profile charges into @p prof (and timeline events for SpMV) exactly
- * as the serial walk would.  Does NOT flush the schedule's per-run
- * stat totals and does NOT add the end-of-run drain -- the caller
- * (Engine) keeps those, shared with the serial path.
+ * Timing walk for SpMV (@p k == 0) or SpMM with @p k right-hand sides
+ * (@p k >= 1).  Replays the run's first reconfiguration through the
+ * real RCU, walks the cache trace in partitions, flushes the
+ * cache/memory counter deltas, and emits profile charges into @p prof
+ * (and timeline events for SpMV) in path order.  Does NOT flush the
+ * schedule's per-run stat totals and does NOT add the end-of-run
+ * drain -- the caller (Engine) keeps those.
  */
 GemvTiming gemvWalk(const Ctx &ctx, const ExecSchedule &S, size_t k,
                     profile::RunScope &prof);
 
 /**
- * Partitioned timing walk for one D-SymGS sweep.  Purely the timing
- * model: the functional sweep (gathers, link stack, chains) must
- * already have run -- the walk simulates the link-stack depth from
- * @p initial_link_depth (its value before the functional pass) for the
- * timeline occupancy counter instead of touching the real stack.
- * Profile charges, chain records, and timeline events are emitted in
- * the serial walk's exact order; commitSymgs stays with the caller.
+ * Timing walk for one D-SymGS sweep.  Purely the timing model: the
+ * functional sweep (gathers, link stack, chains) must already have run
+ * -- the walk simulates the link-stack depth from @p initial_link_depth
+ * (its value before the functional pass) for the timeline occupancy
+ * counter instead of touching the real stack.  Profile charges, chain
+ * records, and timeline events are emitted in path order; commitSymgs
+ * stays with the caller.
  */
 SymgsTiming symgsWalk(const Ctx &ctx, const ExecSchedule &S,
                       size_t initial_link_depth,

@@ -55,7 +55,7 @@ ExecSchedule::bytes() const
            vecBytes(validRows) + vecBytes(chainCycles) +
            vecBytes(rowBegin) + vecBytes(rowIndex) + vecBytes(rowUseful) +
            vecBytes(values) + vecBytes(groupBegin) +
-           vecBytes(partBegin) + vecBytes(levelBegin);
+           vecBytes(partBegin);
 }
 
 ExecSchedule
@@ -298,33 +298,6 @@ compileSchedule(const LocallyDenseMatrix &ld, const ConfigTable &table,
         for (size_t b = per; b < P; b += per)
             s.partBegin.push_back(b);
         s.partBegin.push_back(P);
-    }
-
-    // D-SymGS levels: scan the paths tracking, per vector chunk, the
-    // last diagonal chain that writes it.  A GEMV gather reading a
-    // chunk whose chain lives in the current level is a flow dependence
-    // the level barrier must order, so the level closes right before
-    // the gather.  Chains only read their own chunk (plus the
-    // read-only b and diagonal operands) and the link stack is driven
-    // serially in path order between the level's gather and chain
-    // phases, so no other hazard crosses a level boundary.
-    if (!spmv && P > 0) {
-        Index chunks =
-            Index(std::max(rows, cols) + omega - 1) / omega;
-        std::vector<int64_t> chainPathOf(size_t(chunks) + 1, -1);
-        size_t levelStart = 0;
-        s.levelBegin.push_back(0);
-        for (size_t i = 0; i < P; ++i) {
-            if (s.dp[i] == DataPathType::Gemv) {
-                if (chainPathOf[s.blockCol[i]] >= int64_t(levelStart)) {
-                    s.levelBegin.push_back(i);
-                    levelStart = i;
-                }
-            } else {
-                chainPathOf[s.blockRow[i]] = int64_t(i);
-            }
-        }
-        s.levelBegin.push_back(P);
     }
 
     // Row-layout shape for the replay specialization: when no GEMV

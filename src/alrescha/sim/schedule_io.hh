@@ -7,9 +7,9 @@
  * compileSchedule calls.
  *
  * What round-trips: every per-path vector, row record, group/partition
- * /level boundary, and per-run constant -- the complete compiled
- * state.  What does not: the stamped replay entry points (fns /
- * replayTable), which are process-local function pointers; the loader
+ * boundary, and per-run constant -- the complete compiled state.  What
+ * does not: the stamped replay entry points (fns), which are
+ * process-local function pointers; the loader
  * re-stamps them through replay::specialize, so a restored schedule is
  * indistinguishable from a freshly compiled one (bit-identical
  * results, cycles, and stat dumps -- the round-trip tests enforce it).

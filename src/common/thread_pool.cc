@@ -1,6 +1,8 @@
 #include "common/thread_pool.hh"
 
+#include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <cstdlib>
 #include <exception>
 #include <memory>
@@ -20,6 +22,8 @@ std::unique_ptr<ThreadPool> g_global_pool;
 
 ThreadPool::ThreadPool(int threads)
 {
+    ALR_ASSERT(threads <= kMaxThreads, "thread pool of %d threads "
+               "(the cap is %d)", threads, kMaxThreads);
     _threads = threads > 0 ? threads : defaultThreadCount();
     // Worker 0 is the caller itself; only spawn the extras.
     for (int t = 1; t < _threads; ++t)
@@ -146,14 +150,27 @@ int
 ThreadPool::defaultThreadCount()
 {
     if (const char *env = std::getenv("ALR_THREADS")) {
-        char *tail = nullptr;
-        long n = std::strtol(env, &tail, 10);
-        if (tail != env && *tail == '\0' && n > 0)
-            return int(n);
-        warn("ignoring invalid ALR_THREADS value '%s'", env);
+        int n = 0;
+        if (parseThreadCount(env, &n))
+            return n;
+        warn("ignoring invalid ALR_THREADS value '%s' (want an integer "
+             "in [1, %d])", env, kMaxThreads);
     }
     unsigned hw = std::thread::hardware_concurrency();
-    return hw > 0 ? int(hw) : 1;
+    return hw > 0 ? int(std::min<unsigned>(hw, kMaxThreads)) : 1;
+}
+
+bool
+ThreadPool::parseThreadCount(const char *text, int *out)
+{
+    errno = 0;
+    char *tail = nullptr;
+    long n = std::strtol(text, &tail, 10);
+    if (tail == text || *tail != '\0' || errno == ERANGE || n < 1 ||
+        n > kMaxThreads)
+        return false;
+    *out = int(n);
+    return true;
 }
 
 ThreadPool &

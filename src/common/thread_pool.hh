@@ -39,7 +39,8 @@ namespace alr {
 class ThreadPool
 {
   public:
-    /** @p threads worker count; 0 means defaultThreadCount(). */
+    /** @p threads worker count (at most kMaxThreads); 0 means
+     *  defaultThreadCount(). */
     explicit ThreadPool(int threads = 0);
     ~ThreadPool();
 
@@ -67,11 +68,24 @@ class ThreadPool
     static ThreadPool &global();
 
     /**
-     * Thread count from the ALR_THREADS environment variable when set
-     * to a positive integer, else std::thread::hardware_concurrency()
-     * (never less than 1).
+     * Thread count from the ALR_THREADS environment variable when it
+     * parses (parseThreadCount), else std::thread::hardware_concurrency()
+     * (never less than 1, never more than kMaxThreads).  An invalid
+     * ALR_THREADS warns and falls back.
      */
     static int defaultThreadCount();
+
+    /** Upper bound on any thread count read from outside the program
+     *  (environment, command line). */
+    static constexpr int kMaxThreads = 1024;
+
+    /**
+     * Parse a thread count from outside the program: a whole decimal
+     * integer in [1, kMaxThreads].  Stores it in @p out and returns
+     * true; returns false (leaving @p out alone) on garbage, trailing
+     * characters, zero, negatives, overflow, or counts past the cap.
+     */
+    static bool parseThreadCount(const char *text, int *out);
 
     /**
      * Resize the global pool (CLI --threads override; 0 restores the

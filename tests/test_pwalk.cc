@@ -1,19 +1,17 @@
 /**
  * @file
- * Partitioned parallel timing walk tests (ISSUE 6): the parallel walk
- * must be bit-identical to the serial scheduled walk -- results, cycle
- * counts, full stat dumps, profile buckets, and modeled timeline
- * events -- at every pool size, because partition boundaries are
- * schedule constants and the combine is an ordered reduction.  Plus
- * the profiler conservation invariant under partitioning, D-SymGS
- * level-schedule equivalence on a matrix with real multi-chain
- * parallelism, partition-boundary determinism, and the
- * ALR_PARALLEL_TIMING environment override.
+ * Partitioned timing walk tests: the scheduled engine (functional
+ * replay plus partitioned timing walk) must be bit-identical to the
+ * interpreter -- results, cycle counts, full stat dumps, profile
+ * buckets, and modeled timeline events -- at every pool size, inline
+ * (one thread) and on the process-wide pool (engineThreads = 0),
+ * because partition boundaries are schedule constants and the combine
+ * is an ordered reduction.  Plus the profiler conservation invariant
+ * under partitioning and partition-boundary determinism.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <sstream>
 #include <string>
@@ -24,7 +22,6 @@
 #include "alrescha/sim/schedule.hh"
 #include "common/random.hh"
 #include "common/timeline.hh"
-#include "sparse/coo.hh"
 #include "sparse/generators.hh"
 
 using namespace alr;
@@ -41,14 +38,21 @@ statDump(Engine &e)
 }
 
 AccelParams
-makeParams(Index omega, int threads, bool parallel, bool simd = true)
+makeParams(Index omega, int threads)
 {
     AccelParams p;
     p.omega = omega;
     p.useSchedule = true;
     p.engineThreads = threads;
-    p.simdMode = simd ? SimdMode::Auto : SimdMode::Scalar;
-    p.parallelTiming = parallel;
+    return p;
+}
+
+/** The reference engine: the interpreter, inline. */
+AccelParams
+refParams(Index omega)
+{
+    AccelParams p = makeParams(omega, 1);
+    p.useSchedule = false;
     return p;
 }
 
@@ -59,27 +63,6 @@ expectTimingEq(const RunTiming &a, const RunTiming &b, const char *what)
     EXPECT_EQ(a.seqCycles, b.seqCycles) << what;
     EXPECT_EQ(a.parCycles, b.parCycles) << what;
 }
-
-/** The env override forces the parallel walk on for every engine; the
- *  equivalence tests need their reference engines genuinely serial. */
-struct ScopedUnsetParallelEnv
-{
-    ScopedUnsetParallelEnv()
-    {
-        if (const char *env = std::getenv("ALR_PARALLEL_TIMING")) {
-            saved = env;
-            had = true;
-            unsetenv("ALR_PARALLEL_TIMING");
-        }
-    }
-    ~ScopedUnsetParallelEnv()
-    {
-        if (had)
-            setenv("ALR_PARALLEL_TIMING", saved.c_str(), 1);
-    }
-    std::string saved;
-    bool had = false;
-};
 
 struct ProfileGuard
 {
@@ -131,8 +114,8 @@ expectSameBuckets(const profile::Snapshot &a, const profile::Snapshot &b,
     }
 }
 
-/** Modeled-pid events only: host spans (worker wall clocks) legitimately
- *  differ between serial and pooled execution. */
+/** Modeled-pid events only: host spans (wall clocks, worker tracks)
+ *  legitimately differ between engines and pool sizes. */
 std::vector<timeline::Event>
 modeledEvents()
 {
@@ -171,17 +154,16 @@ struct Case
 
 class PwalkEquivalence : public ::testing::TestWithParam<Case>
 {
-  protected:
-    ScopedUnsetParallelEnv envGuard;
 };
 
 } // namespace
 
 // ---------------------------------------------------------------------
-// Bit-identity thread sweep: the parallel walk at pool sizes 1/2/4/8
-// must reproduce the serial scheduled walk exactly -- results, all
-// three cycle counters, and the entire serialized stat dump -- with
-// cache and switch state carried across repeated runs.
+// Bit-identity sweep: the scheduled engine inline, at pool sizes
+// 2/4/8, and on the process-wide pool must reproduce the interpreter
+// exactly -- results, all three cycle counters, and the entire
+// serialized stat dump -- with cache and switch state carried across
+// repeated runs.
 
 TEST_P(PwalkEquivalence, SpmvBitIdentical)
 {
@@ -192,8 +174,8 @@ TEST_P(PwalkEquivalence, SpmvBitIdentical)
         LocallyDenseMatrix::encode(a, c.omega, LdLayout::Plain);
     ConfigTable table = ConfigTable::convert(KernelType::SpMV, ld);
 
-    Engine ser(makeParams(c.omega, 1, false));
-    Engine par(makeParams(c.omega, c.threads, true));
+    Engine ser(refParams(c.omega));
+    Engine par(makeParams(c.omega, c.threads));
     ser.program(&ld, &table);
     par.program(&ld, &table);
 
@@ -220,8 +202,8 @@ TEST_P(PwalkEquivalence, SpmmBitIdentical)
         LocallyDenseMatrix::encode(a, c.omega, LdLayout::Plain);
     ConfigTable table = ConfigTable::convert(KernelType::SpMV, ld);
 
-    Engine ser(makeParams(c.omega, 1, false));
-    Engine par(makeParams(c.omega, c.threads, true));
+    Engine ser(refParams(c.omega));
+    Engine par(makeParams(c.omega, c.threads));
     ser.program(&ld, &table);
     par.program(&ld, &table);
 
@@ -252,8 +234,8 @@ TEST_P(PwalkEquivalence, SymgsBitIdentical)
     ConfigTable bwd = ConfigTable::convert(KernelType::SymGS, ld, true,
                                            GsSweep::Backward);
 
-    Engine ser(makeParams(c.omega, 1, false));
-    Engine par(makeParams(c.omega, c.threads, true));
+    Engine ser(refParams(c.omega));
+    Engine par(makeParams(c.omega, c.threads));
 
     DenseVector b(a.rows(), 1.0);
     DenseVector xs(a.rows(), 0.0), xp(a.rows(), 0.0);
@@ -274,7 +256,7 @@ TEST_P(PwalkEquivalence, MixedKernelsShareState)
 {
     // Interleave SpMV and SymGS through one engine pair: the partition
     // combine must leave cache, link-stack, and switch state exactly
-    // where the serial walk would, or the next kernel diverges.
+    // where the interpreter does, or the next kernel diverges.
     const Case c = GetParam();
     CsrMatrix a = gen::stencil2d(9, 9);
     LocallyDenseMatrix ld =
@@ -283,8 +265,8 @@ TEST_P(PwalkEquivalence, MixedKernelsShareState)
     ConfigTable fwd = ConfigTable::convert(KernelType::SymGS, ld, true,
                                            GsSweep::Forward);
 
-    Engine ser(makeParams(c.omega, 1, false));
-    Engine par(makeParams(c.omega, c.threads, true));
+    Engine ser(refParams(c.omega));
+    Engine par(makeParams(c.omega, c.threads));
 
     DenseVector b(a.rows(), 0.5);
     DenseVector xs(a.rows(), 0.0), xp(a.rows(), 0.0);
@@ -308,10 +290,10 @@ TEST_P(PwalkEquivalence, MixedKernelsShareState)
 }
 
 // ---------------------------------------------------------------------
-// Profiler under partitioning: every bucket identical to the serial
-// walk, and the conservation invariant (attributed cycles == engine
+// Profiler under partitioning: every bucket identical to the
+// interpreter's, and the conservation invariant (attributed cycles == engine
 // cycles, attributed bytes == memory traffic) holds because the combine
-// re-emits attribution from one serial scan.
+// re-emits attribution from one in-order scan.
 
 TEST_P(PwalkEquivalence, ProfileBucketsIdenticalAndConserved)
 {
@@ -341,9 +323,9 @@ TEST_P(PwalkEquivalence, ProfileBucketsIdenticalAndConserved)
         uint64_t cs = 0, cp = 0;
         double bs = 0.0, bp = 0.0;
         profile::Snapshot ss =
-            runProfiled(makeParams(c.omega, 1, false), kernel, &cs, &bs);
-        profile::Snapshot sp = runProfiled(
-            makeParams(c.omega, c.threads, true), kernel, &cp, &bp);
+            runProfiled(refParams(c.omega), kernel, &cs, &bs);
+        profile::Snapshot sp =
+            runProfiled(makeParams(c.omega, c.threads), kernel, &cp, &bp);
         std::string what = std::string(kernel) + " omega " +
                            std::to_string(c.omega) + " threads " +
                            std::to_string(c.threads);
@@ -358,9 +340,9 @@ TEST_P(PwalkEquivalence, ProfileBucketsIdenticalAndConserved)
 // ---------------------------------------------------------------------
 // Timeline under partitioning: the modeled event stream (spans and
 // counters on the modeled pid) is identical in content AND order, since
-// the combine's serial scan re-emits it exactly as the serial walk
-// would have.  Host-pid worker spans are excluded: wall-clock tracks
-// legitimately differ across pool sizes.
+// the combine's in-order scan emits it exactly as the interpreter
+// does.  Host-pid spans are excluded: wall-clock tracks legitimately
+// differ across engines and pool sizes.
 
 TEST_P(PwalkEquivalence, ModeledTimelineIdentical)
 {
@@ -387,10 +369,9 @@ TEST_P(PwalkEquivalence, ModeledTimelineIdentical)
         return modeledEvents();
     };
 
-    std::vector<timeline::Event> ser =
-        capture(makeParams(c.omega, 1, false));
+    std::vector<timeline::Event> ser = capture(refParams(c.omega));
     std::vector<timeline::Event> par =
-        capture(makeParams(c.omega, c.threads, true));
+        capture(makeParams(c.omega, c.threads));
     ASSERT_GT(ser.size(), 0u);
     expectSameModeledEvents(ser, par,
                             "threads " + std::to_string(c.threads));
@@ -400,7 +381,9 @@ INSTANTIATE_TEST_SUITE_P(
     OmegaThreads, PwalkEquivalence,
     ::testing::Values(Case{4, 1, 21}, Case{4, 2, 22}, Case{4, 4, 23},
                       Case{4, 8, 24}, Case{8, 1, 25}, Case{8, 2, 26},
-                      Case{8, 4, 27}, Case{8, 8, 28}),
+                      Case{8, 4, 27}, Case{8, 8, 28}, Case{2, 1, 29},
+                      Case{2, 4, 30}, Case{16, 1, 31}, Case{16, 4, 32},
+                      Case{8, 0, 33}),
     [](const ::testing::TestParamInfo<Case> &info) {
         // Appended piecewise: "w" + std::to_string(...) trips a GCC 12
         // -Wrestrict false positive at -O2.
@@ -412,102 +395,20 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------
-// Level scheduling with real parallelism: a block-diagonal matrix whose
-// blocks coincide with the chunks has fully independent diagonal
-// chains, so they all land in ONE level and the pool genuinely runs
-// them concurrently -- and the result must still match the serial walk
-// bit for bit.
-
-TEST(PwalkSymgsLevels, BlockDiagonalChainsRunConcurrently)
-{
-    ScopedUnsetParallelEnv envGuard;
-    const Index omega = 8;
-    const Index blocks = 12;
-    CooMatrix coo(blocks * omega, blocks * omega);
-    for (Index bi = 0; bi < blocks; ++bi)
-        for (Index r = 0; r < omega; ++r)
-            for (Index cc = 0; cc < omega; ++cc) {
-                Index gr = bi * omega + r;
-                Index gc = bi * omega + cc;
-                // Diagonally dominant so the sweep is well-posed.
-                coo.add(gr, gc,
-                        gr == gc ? 16.0 + double(bi)
-                                 : 0.25 + 0.01 * double(r + cc));
-            }
-    CsrMatrix a = CsrMatrix::fromCoo(coo);
-    LocallyDenseMatrix ld =
-        LocallyDenseMatrix::encode(a, omega, LdLayout::SymGs);
-    ConfigTable fwd = ConfigTable::convert(KernelType::SymGS, ld, true,
-                                           GsSweep::Forward);
-
-    // The level structure is the parallelism proof: every chain is
-    // independent, so the compiler must produce a single level.
-    AccelParams params = makeParams(omega, 8, true);
-    ExecSchedule S = compileSchedule(ld, fwd, params);
-    ASSERT_GE(S.levelBegin.size(), 2u);
-    EXPECT_EQ(S.levelBegin.size(), 2u)
-        << "independent chains should share one level";
-
-    Engine ser(makeParams(omega, 1, false));
-    Engine par(params);
-    ser.program(&ld, &fwd);
-    par.program(&ld, &fwd);
-
-    DenseVector b(a.rows(), 1.0);
-    DenseVector xs(a.rows(), 0.0), xp(a.rows(), 0.0);
-    for (int sweep = 0; sweep < 3; ++sweep) {
-        RunTiming ts, tp;
-        ser.runSymgsSweep(b, xs, &ts);
-        par.runSymgsSweep(b, xp, &tp);
-        ASSERT_EQ(xs, xp) << "sweep " << sweep;
-        expectTimingEq(ts, tp, "block-diagonal symgs timing");
-    }
-    EXPECT_EQ(statDump(ser), statDump(par));
-}
-
-// A banded matrix chains its chunks together (each chain reads its
-// predecessor's chunk), so levels must be genuine barriers; the sweep
-// still matches the serial walk even though every level holds work.
-
-TEST(PwalkSymgsLevels, ChainedLevelsPartitionThePathSequence)
-{
-    ScopedUnsetParallelEnv envGuard;
-    Rng rng(9);
-    CsrMatrix a = gen::banded(101, 5, 0.7, rng);
-    LocallyDenseMatrix ld =
-        LocallyDenseMatrix::encode(a, 8, LdLayout::SymGs);
-    ConfigTable fwd = ConfigTable::convert(KernelType::SymGS, ld, true,
-                                           GsSweep::Forward);
-
-    AccelParams params = makeParams(8, 4, true);
-    ExecSchedule S = compileSchedule(ld, fwd, params);
-    ASSERT_GE(S.levelBegin.size(), 2u);
-    EXPECT_EQ(S.levelBegin.front(), 0u);
-    EXPECT_EQ(S.levelBegin.back(), S.pathCount);
-    for (size_t l = 0; l + 1 < S.levelBegin.size(); ++l)
-        EXPECT_LT(S.levelBegin[l], S.levelBegin[l + 1])
-            << "empty level " << l;
-    // The band couples neighbouring chunks, so the chain dependence is
-    // real and the compiler must emit more than one level.
-    EXPECT_GT(S.levelBegin.size(), 2u);
-}
-
-// ---------------------------------------------------------------------
 // Partition boundaries are schedule constants: recompiling under
 // different thread counts yields the identical decomposition, which is
 // the root of the determinism guarantee.
 
 TEST(PwalkPartitions, BoundariesAreScheduleConstantsNotThreadCounts)
 {
-    ScopedUnsetParallelEnv envGuard;
     Rng rng(5);
     CsrMatrix a = gen::blockStructured(256, 8, 6, 0.6, rng);
     LocallyDenseMatrix ld =
         LocallyDenseMatrix::encode(a, 8, LdLayout::Plain);
     ConfigTable table = ConfigTable::convert(KernelType::SpMV, ld);
 
-    ExecSchedule s1 = compileSchedule(ld, table, makeParams(8, 1, true));
-    ExecSchedule s8 = compileSchedule(ld, table, makeParams(8, 8, true));
+    ExecSchedule s1 = compileSchedule(ld, table, makeParams(8, 1));
+    ExecSchedule s8 = compileSchedule(ld, table, makeParams(8, 8));
 
     ASSERT_GE(s1.partBegin.size(), 2u);
     EXPECT_EQ(s1.partBegin, s8.partBegin);
@@ -517,30 +418,4 @@ TEST(PwalkPartitions, BoundariesAreScheduleConstantsNotThreadCounts)
     for (size_t p = 0; p + 1 < s1.partBegin.size(); ++p)
         EXPECT_LT(s1.partBegin[p], s1.partBegin[p + 1])
             << "empty partition " << p;
-}
-
-// ---------------------------------------------------------------------
-// The environment override: ALR_PARALLEL_TIMING forces the walk on for
-// engines constructed while it is set (the CI lever), and "0" / unset
-// leave the programmatic choice alone.
-
-TEST(PwalkEnv, EnvVarForcesParallelTimingOn)
-{
-    ScopedUnsetParallelEnv envGuard;
-
-    Engine off(makeParams(8, 1, false));
-    EXPECT_FALSE(off.params().parallelTiming);
-
-    setenv("ALR_PARALLEL_TIMING", "1", 1);
-    Engine forced(makeParams(8, 1, false));
-    EXPECT_TRUE(forced.params().parallelTiming);
-
-    setenv("ALR_PARALLEL_TIMING", "0", 1);
-    Engine zero(makeParams(8, 1, false));
-    EXPECT_FALSE(zero.params().parallelTiming);
-
-    Engine prog(makeParams(8, 1, true));
-    EXPECT_TRUE(prog.params().parallelTiming);
-
-    unsetenv("ALR_PARALLEL_TIMING");
 }

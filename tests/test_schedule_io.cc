@@ -14,6 +14,7 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "alrescha/accelerator.hh"
 #include "alrescha/sim/replay.hh"
@@ -325,34 +326,39 @@ TEST(ScheduleCachePersistence, CorruptionFallsBackToRecompile)
 
 TEST(ScheduleCachePersistence, VersionOneFilesRecompile)
 {
-    // Version 1 keyed and checksummed with FNV-1a; its keys can never
-    // match a version 2 engine's, so the header gate refuses the file.
+    // Version 1 keyed and checksummed with FNV-1a; version 2 carried
+    // the D-SymGS level schedule in its body.  Neither can feed a
+    // version 3 engine, so the header gate refuses both files.
     Problem p(45);
     Engine e(makeParams());
     e.program(&p.ld, &p.table);
     e.prepareSchedule();
     std::stringstream good;
     ASSERT_TRUE(e.saveScheduleCache(good));
-    std::string bytes = good.str();
+    const std::string current = good.str();
     uint32_t version = 0;
-    std::memcpy(&version, bytes.data() + 4, sizeof(version));
-    EXPECT_EQ(version, 2u);
-    version = 1;
-    std::memcpy(bytes.data() + 4, &version, sizeof(version));
+    std::memcpy(&version, current.data() + 4, sizeof(version));
+    EXPECT_EQ(version, 3u);
 
-    setLogCapture(true);
-    Engine warm(makeParams());
-    std::stringstream old(bytes);
-    EXPECT_FALSE(warm.loadScheduleCache(old));
-    EXPECT_NE(setLogCapture(false).find("version mismatch"),
-              std::string::npos);
-    EXPECT_EQ(warm.restoredSchedules(), 0u);
+    for (uint32_t old_version : {1u, 2u}) {
+        SCOPED_TRACE("version " + std::to_string(old_version));
+        std::string bytes = current;
+        std::memcpy(bytes.data() + 4, &old_version, sizeof(old_version));
 
-    Problem same(45);
-    warm.program(&same.ld, &same.table);
-    DenseVector x(same.a.cols(), 1.0);
-    EXPECT_EQ(warm.runSpmv(x), e.runSpmv(x));
-    EXPECT_EQ(warm.scheduleCompiles(), 1u);
+        setLogCapture(true);
+        Engine warm(makeParams());
+        std::stringstream old(bytes);
+        EXPECT_FALSE(warm.loadScheduleCache(old));
+        EXPECT_NE(setLogCapture(false).find("version mismatch"),
+                  std::string::npos);
+        EXPECT_EQ(warm.restoredSchedules(), 0u);
+
+        Problem same(45);
+        warm.program(&same.ld, &same.table);
+        DenseVector x(same.a.cols(), 1.0);
+        EXPECT_EQ(warm.runSpmv(x), e.runSpmv(x));
+        EXPECT_EQ(warm.scheduleCompiles(), 1u);
+    }
 }
 
 TEST(ScheduleCachePersistence, ParamsFingerprintMismatchRejected)

@@ -1,14 +1,17 @@
 /**
  * @file
  * Thread-pool unit tests: full range coverage, chunk contiguity,
- * serial fallback, nested-call inlining, exception propagation, and
- * the ALR_THREADS environment override.
+ * serial fallback, nested-call inlining, exception propagation, the
+ * ALR_THREADS environment override, and the bound on thread counts
+ * read from outside the program.  The bound is checked through the
+ * parser only: no test starts a pool past the cap.
  */
 
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -119,6 +122,40 @@ TEST(ThreadPool, EnvOverridesDefaultThreadCount)
     EXPECT_GE(ThreadPool::defaultThreadCount(), 1);
     ASSERT_EQ(unsetenv("ALR_THREADS"), 0);
     EXPECT_GE(ThreadPool::defaultThreadCount(), 1);
+}
+
+TEST(ThreadPool, ParseThreadCountAcceptsOnlyBoundedIntegers)
+{
+    int n = -7;
+    EXPECT_TRUE(ThreadPool::parseThreadCount("1", &n));
+    EXPECT_EQ(n, 1);
+    EXPECT_TRUE(ThreadPool::parseThreadCount("4", &n));
+    EXPECT_EQ(n, 4);
+    const std::string cap = std::to_string(ThreadPool::kMaxThreads);
+    EXPECT_TRUE(ThreadPool::parseThreadCount(cap.c_str(), &n));
+    EXPECT_EQ(n, ThreadPool::kMaxThreads);
+
+    const std::string past = std::to_string(ThreadPool::kMaxThreads + 1);
+    for (const char *bad :
+         {"", "0", "-1", "4x", "x4", "1.5", "1000000", past.c_str(),
+          "2147483648", "99999999999999999999999", "-99999999999999999999"}) {
+        n = -7;
+        EXPECT_FALSE(ThreadPool::parseThreadCount(bad, &n)) << bad;
+        EXPECT_EQ(n, -7) << bad;
+    }
+}
+
+TEST(ThreadPool, OutOfRangeEnvThreadCountFallsBack)
+{
+    ASSERT_EQ(unsetenv("ALR_THREADS"), 0);
+    const int fallback = ThreadPool::defaultThreadCount();
+    EXPECT_GE(fallback, 1);
+    EXPECT_LE(fallback, ThreadPool::kMaxThreads);
+    for (const char *bad : {"1000000", "99999999999999999999999", "0"}) {
+        ASSERT_EQ(setenv("ALR_THREADS", bad, 1), 0);
+        EXPECT_EQ(ThreadPool::defaultThreadCount(), fallback) << bad;
+    }
+    ASSERT_EQ(unsetenv("ALR_THREADS"), 0);
 }
 
 TEST(ThreadPool, GlobalPoolResizes)

@@ -41,6 +41,7 @@
 #include "alrescha/sim/replay.hh"
 #include "common/logging.hh"
 #include "common/metrics.hh"
+#include "common/thread_pool.hh"
 #include "common/timeline.hh"
 #include "common/version.hh"
 #include "datasets/suites.hh"
@@ -142,9 +143,15 @@ parse(int argc, char **argv)
         } else if (arg == "--burstiness") {
             opt.trace.burstiness = std::atof(next().c_str());
         } else if (arg == "--threads") {
-            opt.cfg.threads = std::atoi(next().c_str());
-            if (opt.cfg.threads <= 0)
+            std::string text = next();
+            if (!ThreadPool::parseThreadCount(text.c_str(),
+                                              &opt.cfg.threads)) {
+                std::fprintf(stderr,
+                             "alr_serve: --threads wants an integer in "
+                             "[1, %d], got '%s'\n",
+                             ThreadPool::kMaxThreads, text.c_str());
                 usage();
+            }
         } else if (arg == "--batch-window") {
             opt.cfg.batchWindow = uint32_t(std::atoi(next().c_str()));
         } else if (arg == "--queue") {

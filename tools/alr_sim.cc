@@ -77,7 +77,6 @@ struct Options
     bool rcm = false;
     bool noSchedule = false;
     SimdMode simdMode = SimdMode::Auto;
-    bool parallelTiming = false;
     bool dumpStats = false;
     bool json = false;
     bool report = false;
@@ -104,7 +103,7 @@ usage()
         "               [--profile F.json] [--profile-csv F.csv]\n"
         "               [--profile-folded F.folded]\n"
         "               [--iters N] [--threads N] [--engine-threads N]\n"
-        "               [--parallel-timing] [--schedule-cache N]\n"
+        "               [--schedule-cache N]\n"
         "               [--save F.alr] [--trace F.log] [--no-schedule]\n"
         "               [--simd MODE] [--ab \"FLAGS\"] [--fail-on RULE]\n"
         "               [--version]\n"
@@ -125,8 +124,9 @@ usage()
         "                    with a warning when unavailable\n"
         "                    (--no-simd is kept as an alias for\n"
         "                    --simd scalar)\n"
-        "  --parallel-timing partitioned timing walk on the engine\n"
-        "                    threads (bit-identical to the serial walk)\n"
+        "  --threads N       host preprocessing pool size\n"
+        "  --engine-threads N  scheduled functional pass + timing\n"
+        "                    walk threads (default 1: inline)\n"
         "  --schedule-cache  compiled-schedule MRU cache capacity\n"
         "                    (default 8; evictions recompile)\n"
         "  --ab \"FLAGS\"      in-process A/B: rerun with FLAGS applied\n"
@@ -139,6 +139,21 @@ usage()
         "                    METRIC>NUM[%%], e.g. 'cycles>0.1%%'\n"
         "  --version         print build provenance and exit\n");
     std::exit(2);
+}
+
+/** A --threads / --engine-threads value: a bad one says why, then
+ *  prints the usage text. */
+int
+threadCountArg(const std::string &flag, const std::string &text)
+{
+    int n = 0;
+    if (!ThreadPool::parseThreadCount(text.c_str(), &n)) {
+        std::fprintf(stderr,
+                     "alr_sim: %s wants an integer in [1, %d], got '%s'\n",
+                     flag.c_str(), ThreadPool::kMaxThreads, text.c_str());
+        usage();
+    }
+    return n;
 }
 
 void
@@ -230,19 +245,13 @@ applyArgs(Options &opt, const std::vector<std::string> &args,
         } else if (arg == "--iters") {
             opt.maxIterations = std::atoi(next().c_str());
         } else if (arg == "--threads") {
-            opt.threads = std::atoi(next().c_str());
-            if (opt.threads <= 0)
-                usage();
+            opt.threads = threadCountArg(arg, next());
         } else if (arg == "--engine-threads") {
-            opt.engineThreads = std::atoi(next().c_str());
-            if (opt.engineThreads <= 0)
-                usage();
+            opt.engineThreads = threadCountArg(arg, next());
         } else if (arg == "--schedule-cache") {
             opt.scheduleCache = std::atoi(next().c_str());
             if (opt.scheduleCache <= 0)
                 usage();
-        } else if (arg == "--parallel-timing") {
-            opt.parallelTiming = true;
         } else if (arg == "--simd") {
             std::string mode = next();
             if (!replay::parseSimdMode(mode.c_str(), &opt.simdMode)) {
@@ -333,15 +342,11 @@ paramsFrom(const Options &opt)
     // (the two modes are bit-identical; this exposes the slow path for
     // debugging and for timing the schedule compiler's benefit).
     params.useSchedule = !opt.noSchedule;
-    // Functional-replay knobs: both are bit-identical to the defaults,
-    // exposed for timing the host-side replay cost in isolation.
+    // Host-side replay knobs: both are bit-identical to the defaults,
+    // exposed for timing the scheduled runs' host cost in isolation.
     if (opt.engineThreads > 0)
         params.engineThreads = opt.engineThreads;
     params.simdMode = opt.simdMode;
-    // Partitioned timing walk on the engine threads; bit-identical to
-    // the serial walk at any thread count (ALR_PARALLEL_TIMING=1 is
-    // the environment equivalent).
-    params.parallelTiming = opt.parallelTiming;
     if (opt.scheduleCache > 0)
         params.scheduleCacheCapacity = opt.scheduleCache;
     return params;

@@ -5,11 +5,11 @@
 #   2. TSan build, the parallel-pipeline tests (thread pool, parallel
 #      encode/convert determinism, multi-engine scale-out) with a high
 #      thread count to provoke races.
-#   3. The same TSan build re-run over the schedule/profile/pwalk
-#      suites with ALR_PARALLEL_TIMING=1, which forces every engine
-#      through the partitioned parallel timing walk -- the shadow
-#      replay, ordered combine, and level-scheduled D-SymGS all execute
-#      on the pool under the race detector.
+#   3. The same TSan build re-run over the suites whose engines run
+#      scheduled kernels on a pool (pwalk, schedule equivalence,
+#      profile, multi-engine, serve) with ALR_THREADS=8, so the shadow
+#      replay and ordered combine of the partitioned timing walk
+#      execute on real threads under the race detector.
 #
 # Usage: tools/check_sanitizers.sh [build-dir-prefix] [all|asan|tsan]
 # The second argument picks the passes: "asan" runs 1 (plus the forced-
@@ -72,16 +72,14 @@ ALR_THREADS=8 TSAN_OPTIONS="halt_on_error=1" run_suite "${prefix}-tsan" \
     "TSan" \
     -R 'ThreadPool|ParallelPipeline|Multi|Mmio'
 
-# Re-run the timing-sensitive suites through the partitioned parallel
-# timing walk (same TSan build; ALR_PARALLEL_TIMING=1 flips every
-# engine over without touching the tests).  The pwalk suite sweeps pool
-# sizes itself; the schedule/profile suites prove the walk stays
-# bit-identical while racing.
-echo "== TSan (ALR_PARALLEL_TIMING=1): testing parallel timing walk =="
+# Re-run the suites that drive scheduled kernels on engine pools
+# (same TSan build): the pwalk suite sweeps pool sizes itself, the
+# others prove the partitioned walk stays bit-identical while racing.
+echo "== TSan: testing the partitioned timing walk =="
 (cd "${prefix}-tsan" && \
-    ALR_PARALLEL_TIMING=1 ALR_THREADS=8 TSAN_OPTIONS="halt_on_error=1" \
+    ALR_THREADS=8 TSAN_OPTIONS="halt_on_error=1" \
     ctest --output-on-failure -j "${jobs}" \
-        -R 'Pwalk|ScheduleEquivalence|Profile|Multi')
+        -R 'Pwalk|ScheduleEquivalence|Profile|Multi|ServeConcurrency|ServeEquivalence')
 fi
 
 echo "== sanitizers: ${passes} passes clean =="
