@@ -23,23 +23,23 @@ using namespace alr::bench;
 namespace {
 
 /** The per-component breakdown as a BENCH row sub-object (joules). */
-JsonObject
+json::Value
 energyJson(const EnergyBreakdown &e)
 {
-    JsonObject out;
-    out.add("dram", e.dram)
-        .add("sram", e.sram)
-        .add("compute", e.compute)
-        .add("reconfig", e.reconfig)
-        .add("static", e.staticEnergy)
-        .add("total", e.total());
+    json::Value out = json::Value::object();
+    out.set("dram", json::Value(e.dram));
+    out.set("sram", json::Value(e.sram));
+    out.set("compute", json::Value(e.compute));
+    out.set("reconfig", json::Value(e.reconfig));
+    out.set("static", json::Value(e.staticEnergy));
+    out.set("total", json::Value(e.total()));
     return out;
 }
 
 void
 runSuite(const std::vector<Dataset> &suite, const char *label,
          std::vector<double> &vsCpu, std::vector<double> &vsGpu,
-         JsonArray &jsonRows)
+         json::Value &jsonRows)
 {
     CpuModel cpu;
     GpuModel gpu;
@@ -63,20 +63,21 @@ runSuite(const std::vector<Dataset> &suite, const char *label,
                       fmt(cpu_e * 1e6, 1), fmt(gpu_e / alr_e, 1),
                       fmt(cpu_e / alr_e, 1)});
 
-        JsonObject row;
-        row.add("name", d.name)
-            .add("suite", label)
-            .add("wall_ms", wall_ms)
-            .add("cycles", acc.engine().totalCycles())
-            .add("bytes_streamed", acc.engine().memory().bytesStreamed())
-            .add("alrescha_uj", alr_e * 1e6)
-            .add("gpu_uj", gpu_e * 1e6)
-            .add("cpu_uj", cpu_e * 1e6)
-            .add("vs_gpu", gpu_e / alr_e)
-            .add("vs_cpu", cpu_e / alr_e)
-            .raw("energy", energyJson(r.energy).dump(6))
-            .raw("stats", modeledStats(acc).dump(6));
-        jsonRows.add(row, 2);
+        json::Value row = json::Value::object();
+        row.set("name", json::Value(d.name));
+        row.set("suite", json::Value(std::string(label)));
+        row.set("wall_ms", json::Value(wall_ms));
+        row.set("cycles", count(acc.engine().totalCycles()));
+        row.set("bytes_streamed",
+                count(acc.engine().memory().bytesStreamed()));
+        row.set("alrescha_uj", json::Value(alr_e * 1e6));
+        row.set("gpu_uj", json::Value(gpu_e * 1e6));
+        row.set("cpu_uj", json::Value(cpu_e * 1e6));
+        row.set("vs_gpu", json::Value(gpu_e / alr_e));
+        row.set("vs_cpu", json::Value(cpu_e / alr_e));
+        row.set("energy", energyJson(r.energy));
+        row.set("stats", modeledStats(acc));
+        jsonRows.append(std::move(row));
     }
     table.print();
     std::printf("\n");
@@ -91,7 +92,7 @@ main()
                 "and GPU (SpMV) ==\n\n");
 
     std::vector<double> vsCpu, vsGpu;
-    JsonArray jsonRows;
+    json::Value jsonRows = json::Value::array();
     runSuite(scientificSuite(), "scientific", vsCpu, vsGpu, jsonRows);
     runSuite(graphSuite(), "graph", vsCpu, vsGpu, jsonRows);
 
@@ -99,12 +100,11 @@ main()
                 fmt(geoMean(vsGpu), 1).c_str(),
                 fmt(geoMean(vsCpu), 1).c_str());
 
-    JsonObject root;
-    root.add("bench", "fig19_energy")
-        .add("kernel", "spmv")
-        .raw("datasets", jsonRows.dump(2))
-        .add("geo_mean_vs_gpu", geoMean(vsGpu))
-        .add("geo_mean_vs_cpu", geoMean(vsCpu));
+    json::Value root = benchDocument("fig19_energy");
+    root.set("kernel", json::Value(std::string("spmv")));
+    root.set("datasets", std::move(jsonRows));
+    root.set("geo_mean_vs_gpu", json::Value(geoMean(vsGpu)));
+    root.set("geo_mean_vs_cpu", json::Value(geoMean(vsCpu)));
     writeJsonFile("BENCH_energy.json", root);
 
     std::printf("\npaper: 14x less energy than the GPU and 74x less than\n"

@@ -104,7 +104,7 @@ runObservedPass(const std::vector<Dataset> &suite, const TraceParams &tp,
     return p;
 }
 
-JsonObject
+json::Value
 rowOf(const char *name, const Pass &p)
 {
     double checksum = 0.0, reqCycles = 0.0;
@@ -113,40 +113,40 @@ rowOf(const char *name, const Pass &p)
     for (double c : p.res.modeledCycles)
         reqCycles += c;
 
-    JsonObject stats;
-    stats.add("completed", p.res.completed)
-        .add("work_items", p.res.workItems)
-        .add("schedule_compiles", p.compiles)
-        .add("schedule_evictions", p.evictions)
-        .add("checksum_sum", checksum)
-        .add("request_cycles", reqCycles);
+    json::Value stats = json::Value::object();
+    stats.set("completed", count(p.res.completed));
+    stats.set("work_items", count(p.res.workItems));
+    stats.set("schedule_compiles", count(p.compiles));
+    stats.set("schedule_evictions", count(p.evictions));
+    stats.set("checksum_sum", json::Value(checksum));
+    stats.set("request_cycles", json::Value(reqCycles));
 
-    JsonObject row;
-    row.add("name", name)
-        .add("suite", "serve")
-        .add("wall_ms", p.res.wallMs)
-        .add("cycles", p.cycles)
-        .add("bytes_streamed", p.bytes)
-        .add("requests_per_sec", p.res.requestsPerSec)
-        .add("latency_p50_ns", p.res.latencyNs.percentile(50))
-        .add("latency_p95_ns", p.res.latencyNs.percentile(95))
-        .add("latency_p99_ns", p.res.latencyNs.percentile(99))
-        .raw("stats", stats.dump(6));
+    json::Value row = json::Value::object();
+    row.set("name", json::Value(std::string(name)));
+    row.set("suite", json::Value(std::string("serve")));
+    row.set("wall_ms", json::Value(p.res.wallMs));
+    row.set("cycles", count(p.cycles));
+    row.set("bytes_streamed", count(p.bytes));
+    row.set("requests_per_sec", json::Value(p.res.requestsPerSec));
+    row.set("latency_p50_ns", json::Value(p.res.latencyNs.percentile(50)));
+    row.set("latency_p95_ns", json::Value(p.res.latencyNs.percentile(95)));
+    row.set("latency_p99_ns", json::Value(p.res.latencyNs.percentile(99)));
+    row.set("stats", std::move(stats));
     return row;
 }
 
-std::string
+json::Value
 histogramJson(const stats::Distribution &d)
 {
     // Batch sizes are small integers; report the occupied log2 buckets
     // as "upper_edge: count" pairs.
-    JsonObject h;
+    json::Value h = json::Value::object();
     for (size_t b = 0; b < stats::Distribution::kBuckets; ++b) {
         if (!d.buckets()[b])
             continue;
-        h.add(std::to_string(1ull << b), d.buckets()[b]);
+        h.set(std::to_string(1ull << b), count(d.buckets()[b]));
     }
-    return h.dump(2);
+    return h;
 }
 
 } // namespace
@@ -234,19 +234,18 @@ main()
         return 1;
     }
 
-    JsonArray rows;
-    rows.add(rowOf("spmv_batch_off", off), 2);
-    rows.add(rowOf("spmv_batch_on", on), 2);
-    rows.add(rowOf("mixed", mixed), 2);
-    rows.add(rowOf("spmv_batch_on_observed", obs), 2);
+    json::Value rows = json::Value::array();
+    rows.append(rowOf("spmv_batch_off", off));
+    rows.append(rowOf("spmv_batch_on", on));
+    rows.append(rowOf("mixed", mixed));
+    rows.append(rowOf("spmv_batch_on_observed", obs));
 
-    JsonObject root;
-    root.add("bench", "serve_throughput")
-        .add("fleet", kFleet)
-        .raw("datasets", rows.dump(2))
-        .add("batch_speedup_wall", speedup)
-        .add("observability_overhead_wall", overhead)
-        .raw("batch_size_histogram", histogramJson(on.res.batchSize));
+    json::Value root = benchDocument("serve_throughput");
+    root.set("fleet", count(kFleet));
+    root.set("datasets", std::move(rows));
+    root.set("batch_speedup_wall", json::Value(speedup));
+    root.set("observability_overhead_wall", json::Value(overhead));
+    root.set("batch_size_histogram", histogramJson(on.res.batchSize));
     writeJsonFile("BENCH_serve.json", root);
 
     std::printf("\nCoalescing same-matrix SpMVs streams the matrix once\n"

@@ -33,6 +33,10 @@ enum class SimdMode : uint8_t
     Neon,
 };
 
+/** Largest block width the command-line tools accept: an omega x
+ *  omega dense block of doubles is 8 MB at this width. */
+constexpr Index kMaxOmega = 1024;
+
 /**
  * Accelerator configuration.  Defaults reproduce Table 5: double
  * precision, 2.5 GHz, 1 KB local cache with 64 B lines at 4 cycles,

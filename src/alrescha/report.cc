@@ -1,62 +1,31 @@
 #include "alrescha/report.hh"
 
-#include <cstdio>
-#include <sstream>
-
 #include "alrescha/sim/profile.hh"
 #include "alrescha/sim/replay.hh"
+#include "common/json.hh"
 #include "common/version.hh"
 
 namespace alr {
 
-namespace {
-
-/** snprintf into an ostream (keeps the historical printf formats). */
 void
-jnum(std::ostream &os, const char *fmt, double v)
+writeUtilizationJson(json::Writer &w, const UtilizationReport &u)
 {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), fmt, v);
-    os << buf;
-}
-
-} // namespace
-
-void
-writeUtilizationJson(std::ostream &os, const UtilizationReport &u,
-                     const char *pad)
-{
-    os << "{\n";
-    os << pad << "  \"cycles\": " << u.cycles << ",\n";
-    os << pad << "  \"alu_occupancy\": ";
-    jnum(os, "%.6f", u.aluOccupancy);
-    os << ",\n" << pad << "  \"tree_occupancy\": ";
-    jnum(os, "%.6f", u.treeOccupancy);
-    os << ",\n" << pad << "  \"bandwidth_utilization\": ";
-    jnum(os, "%.6f", u.bandwidthUtilization);
-    os << ",\n" << pad << "  \"cache_hit_rate\": ";
-    jnum(os, "%.6f", u.cacheHitRate);
-    os << ",\n" << pad << "  \"cache_time_fraction\": ";
-    jnum(os, "%.6f", u.cacheTimeFraction);
-    os << ",\n" << pad << "  \"sequential_op_fraction\": ";
-    jnum(os, "%.6f", u.sequentialOpFraction);
-    os << ",\n" << pad << "  \"sequential_cycle_fraction\": ";
-    jnum(os, "%.6f", u.sequentialCycleFraction);
-    os << ",\n" << pad << "  \"reconfig_hidden_frac\": ";
-    jnum(os, "%.6f", u.reconfigHiddenFraction);
-    os << ",\n" << pad << "  \"flops\": ";
-    jnum(os, "%.0f", u.flops);
-    os << ",\n" << pad << "  \"dram_bytes\": ";
-    jnum(os, "%.0f", u.dramBytes);
-    os << ",\n" << pad << "  \"arithmetic_intensity\": ";
-    jnum(os, "%.9g", u.arithmeticIntensity);
-    os << ",\n" << pad << "  \"achieved_gflops\": ";
-    jnum(os, "%.9g", u.achievedGflops);
-    os << ",\n" << pad << "  \"peak_gflops\": ";
-    jnum(os, "%.9g", u.peakGflops);
-    os << ",\n" << pad << "  \"attainable_gflops\": ";
-    jnum(os, "%.9g", u.attainableGflops);
-    os << "\n" << pad << "}";
+    w.beginObject().key("cycles").value(u.cycles);
+    w.key("alu_occupancy").value(u.aluOccupancy);
+    w.key("tree_occupancy").value(u.treeOccupancy);
+    w.key("bandwidth_utilization").value(u.bandwidthUtilization);
+    w.key("cache_hit_rate").value(u.cacheHitRate);
+    w.key("cache_time_fraction").value(u.cacheTimeFraction);
+    w.key("sequential_op_fraction").value(u.sequentialOpFraction);
+    w.key("sequential_cycle_fraction").value(u.sequentialCycleFraction);
+    w.key("reconfig_hidden_frac").value(u.reconfigHiddenFraction);
+    w.key("flops").number(u.flops);
+    w.key("dram_bytes").number(u.dramBytes);
+    w.key("arithmetic_intensity").value(u.arithmeticIntensity);
+    w.key("achieved_gflops").value(u.achievedGflops);
+    w.key("peak_gflops").value(u.peakGflops);
+    w.key("attainable_gflops").value(u.attainableGflops);
+    w.endObject();
 }
 
 void
@@ -64,62 +33,42 @@ writeSimReportJson(std::ostream &os, const Accelerator &acc,
                    const SimReportOptions &opt)
 {
     AccelReport r = acc.report();
-    os << "{\n";
-    os << "  \"schema_version\": " << version::kJsonSchemaVersion
-       << ",\n";
-    os << "  \"kernel\": \"" << opt.kernel << "\",\n";
-    os << "  \"omega\": " << opt.omega << ",\n";
-    os << "  \"cycles\": " << r.cycles << ",\n";
-    os << "  \"seconds\": ";
-    jnum(os, "%.9g", r.seconds);
-    os << ",\n  \"dram_bytes\": ";
-    jnum(os, "%.0f", r.bytesFromMemory);
-    os << ",\n  \"bandwidth_utilization\": ";
-    jnum(os, "%.6f", r.bandwidthUtilization);
-    os << ",\n  \"sequential_op_fraction\": ";
-    jnum(os, "%.6f", r.sequentialOpFraction);
-    os << ",\n  \"reconfigurations\": ";
-    jnum(os, "%.0f", r.reconfigurations);
-    os << ",\n  \"energy_joules\": ";
-    jnum(os, "%.9g", r.energyJoules);
-    os << ",\n  \"energy_breakdown\": {\"dram\": ";
-    jnum(os, "%.9g", r.energy.dram);
-    os << ", \"sram\": ";
-    jnum(os, "%.9g", r.energy.sram);
-    os << ", \"compute\": ";
-    jnum(os, "%.9g", r.energy.compute);
-    os << ", \"reconfig\": ";
-    jnum(os, "%.9g", r.energy.reconfig);
-    os << ", \"static\": ";
-    jnum(os, "%.9g", r.energy.staticEnergy);
-    os << "}";
-    os << ",\n  \"version\": ";
-    replay::writeVersionJson(os, opt.simdMode);
+    json::Writer w(os);
+    w.beginObject().key("schema_version").value(version::kJsonSchemaVersion);
+    w.key("kernel").value(opt.kernel).key("omega").value(opt.omega);
+    w.key("cycles").value(r.cycles).key("seconds").value(r.seconds);
+    w.key("dram_bytes").number(r.bytesFromMemory);
+    w.key("bandwidth_utilization").value(r.bandwidthUtilization);
+    w.key("sequential_op_fraction").value(r.sequentialOpFraction);
+    w.key("reconfigurations").number(r.reconfigurations);
+    w.key("energy_joules").value(r.energyJoules);
+    w.key("energy_breakdown").beginObject(true);
+    w.key("dram").value(r.energy.dram).key("sram").value(r.energy.sram);
+    w.key("compute").value(r.energy.compute);
+    w.key("reconfig").value(r.energy.reconfig);
+    w.key("static").value(r.energy.staticEnergy).endObject();
+    const char *simdRuntime = replay::selectedName(opt.simdMode);
+    w.key("version");
+    replay::writeVersionJson(w, simdRuntime);
     if (profile::enabled()) {
-        // Embed the profile document verbatim; it is self-contained
-        // JSON, so nesting it keeps the output one valid document.
-        std::ostringstream ps;
-        profile::exportJson(ps, {opt.kernel, opt.omega,
-                                 acc.engine().totalCycles(),
-                                 replay::selectedName(opt.simdMode)});
-        std::string doc = ps.str();
-        while (!doc.empty() && doc.back() == '\n')
-            doc.pop_back();
-        os << ",\n  \"profile\": " << doc;
+        w.key("profile");
+        profile::exportJson(w, {opt.kernel, opt.omega,
+                                acc.engine().totalCycles(), simdRuntime});
     }
     if (opt.utilization) {
-        os << ",\n  \"utilization\": ";
-        writeUtilizationJson(os, acc.utilization(), "  ");
+        w.key("utilization");
+        writeUtilizationJson(w, acc.utilization());
     }
     if (opt.stats) {
-        os << ",\n  \"stats\": ";
-        acc.engine().statGroup().dumpJson(os, 2);
+        w.key("stats");
+        acc.engine().statGroup().dumpJson(w);
     }
     if (opt.snapshots) {
-        os << ",\n  \"snapshots\": ";
-        opt.snapshots->dumpJson(os);
+        w.key("snapshots");
+        opt.snapshots->dumpJson(w);
     }
-    os << "\n}\n";
+    w.endObject();
+    os << '\n';
 }
 
 } // namespace alr

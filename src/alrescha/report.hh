@@ -18,6 +18,10 @@
 #include "alrescha/accelerator.hh"
 #include "common/stats.hh"
 
+namespace alr::json {
+class Writer;
+} // namespace alr::json
+
 namespace alr {
 
 /** What to embed in the report document (mirrors the CLI flags). */
@@ -42,9 +46,8 @@ struct SimReportOptions
 void writeSimReportJson(std::ostream &os, const Accelerator &acc,
                         const SimReportOptions &opt);
 
-/** The --report utilization block alone (shared with tests). */
-void writeUtilizationJson(std::ostream &os, const UtilizationReport &u,
-                          const char *pad);
+/** The --report utilization block alone, nested at @p w's position. */
+void writeUtilizationJson(json::Writer &w, const UtilizationReport &u);
 
 } // namespace alr
 

@@ -6,6 +6,7 @@
 #include <mutex>
 
 #include "alrescha/sim/replay.hh"
+#include "common/json.hh"
 #include "common/version.hh"
 
 namespace alr::profile {
@@ -262,54 +263,50 @@ attributedCycles()
 }
 
 void
-exportJson(std::ostream &os, const ExportMeta &meta)
+exportJson(json::Writer &w, const ExportMeta &meta)
 {
     Snapshot snap = snapshot();
-    os << "{\n";
-    os << "  \"schema_version\": " << version::kJsonSchemaVersion
-       << ",\n";
-    os << "  \"version\": {\"git\": \"" << version::gitDescribe()
-       << "\", \"simd_build\": \"" << version::simdBuild()
-       << "\", \"simd_runtime\": \""
-       << (meta.simdRuntime.empty() ? replay::isaName()
-                                    : meta.simdRuntime.c_str())
-       << "\", \"omega_specializations\": \""
-       << replay::omegaSpecializations() << "\"},\n";
-    os << "  \"kernel\": \"" << meta.kernel << "\",\n";
-    os << "  \"omega\": " << meta.omega << ",\n";
-    os << "  \"total_cycles\": " << meta.totalCycles << ",\n";
-    os << "  \"attributed_cycles\": " << snap.attributedCycles << ",\n";
-    os << "  \"attributed_bytes\": " << snap.attributedBytes << ",\n";
-    os << "  \"runs\": " << snap.runs << ",\n";
-    os << "  \"buckets\": [";
-    for (size_t i = 0; i < snap.buckets.size(); ++i) {
-        const BucketRow &r = snap.buckets[i];
-        os << (i ? ",\n    " : "\n    ");
-        os << "{\"dp\": \"" << toString(r.dp) << "\", \"block_row\": "
-           << r.blockRow << ", \"cause\": \"" << toString(r.cause)
-           << "\", \"cycles\": " << r.cycles << ", \"bytes\": "
-           << r.bytes << "}";
+    w.beginObject().key("schema_version").value(version::kJsonSchemaVersion);
+    w.key("version");
+    replay::writeVersionJson(w, meta.simdRuntime.empty()
+                                    ? replay::isaName()
+                                    : meta.simdRuntime.c_str());
+    w.key("kernel").value(meta.kernel).key("omega").value(meta.omega);
+    w.key("total_cycles").value(meta.totalCycles);
+    w.key("attributed_cycles").value(snap.attributedCycles);
+    w.key("attributed_bytes").value(snap.attributedBytes);
+    w.key("runs").value(snap.runs).key("buckets").beginArray();
+    for (const BucketRow &r : snap.buckets) {
+        w.beginObject(true).key("dp").value(toString(r.dp));
+        w.key("block_row").value(r.blockRow);
+        w.key("cause").value(toString(r.cause));
+        w.key("cycles").value(r.cycles).key("bytes").value(r.bytes);
+        w.endObject();
     }
-    os << (snap.buckets.empty() ? "]" : "\n  ]") << ",\n";
-    os << "  \"critical_path\": {\n";
-    os << "    \"longest_chain_cycles\": " << snap.longestChainCycles
-       << ",\n";
-    os << "    \"longest_chain_rows\": [" << snap.longestChainFirstRow
-       << ", " << snap.longestChainLastRow << "],\n";
-    os << "    \"per_block_row\": [";
-    for (size_t i = 0; i < snap.critical.size(); ++i) {
-        const CriticalRow &r = snap.critical[i];
-        os << (i ? ",\n      " : "\n      ");
-        os << "{\"block_row\": " << r.blockRow << ", \"chains\": "
-           << r.chains << ", \"chain_cycles\": " << r.chainCycles
-           << ", \"wait_cycles\": " << r.waitCycles
-           << ", \"start_stall_cycles\": " << r.startStallCycles
-           << ", \"slack_cycles\": " << r.slackCycles
-           << ", \"dep_bound_chains\": " << r.depBoundChains << "}";
+    w.endArray().key("critical_path").beginObject();
+    w.key("longest_chain_cycles").value(snap.longestChainCycles);
+    w.key("longest_chain_rows").beginArray(true);
+    w.value(snap.longestChainFirstRow).value(snap.longestChainLastRow);
+    w.endArray().key("per_block_row").beginArray();
+    for (const CriticalRow &r : snap.critical) {
+        w.beginObject(true).key("block_row").value(r.blockRow);
+        w.key("chains").value(r.chains);
+        w.key("chain_cycles").value(r.chainCycles);
+        w.key("wait_cycles").value(r.waitCycles);
+        w.key("start_stall_cycles").value(r.startStallCycles);
+        w.key("slack_cycles").value(r.slackCycles);
+        w.key("dep_bound_chains").value(r.depBoundChains);
+        w.endObject();
     }
-    os << (snap.critical.empty() ? "]" : "\n    ]") << "\n";
-    os << "  }\n";
-    os << "}\n";
+    w.endArray().endObject().endObject();
+}
+
+void
+exportJson(std::ostream &os, const ExportMeta &meta)
+{
+    json::Writer w(os);
+    exportJson(w, meta);
+    os << '\n';
 }
 
 void

@@ -58,6 +58,10 @@
 
 #include "alrescha/config_table.hh"
 
+namespace alr::json {
+class Writer;
+} // namespace alr::json
+
 namespace alr::profile {
 
 /** Why a cycle (or byte) was spent.  Every modeled cycle lands in
@@ -226,8 +230,10 @@ struct ExportMeta
  * Export the recorded profile as one JSON document: build provenance
  * (git describe, SIMD mode), the meta block, the sorted buckets, and
  * the critical-path section.  Schema validated by
- * tools/check_profile.py.
+ * tools/check_profile.py.  The Writer form nests the document inside
+ * a larger one (the sim report).
  */
+void exportJson(json::Writer &w, const ExportMeta &meta);
 void exportJson(std::ostream &os, const ExportMeta &meta);
 
 /**

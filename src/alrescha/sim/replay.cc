@@ -28,9 +28,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <ostream>
 #include <vector>
 
+#include "common/json.hh"
 #include "common/version.hh"
 
 #include "alrescha/sim/reduce.hh"
@@ -348,12 +348,13 @@ selectedName(SimdMode mode)
 }
 
 void
-writeVersionJson(std::ostream &os, SimdMode mode)
+writeVersionJson(json::Writer &w, const char *simdRuntime)
 {
-    os << "{\"git\": \"" << version::gitDescribe() << "\", \"simd_build\": \""
-       << version::simdBuild() << "\", \"simd_runtime\": \""
-       << selectedName(mode) << "\", \"omega_specializations\": \""
-       << omegaSpecializations() << "\"}";
+    w.beginObject(true).key("git").value(version::gitDescribe());
+    w.key("simd_build").value(version::simdBuild());
+    w.key("simd_runtime").value(simdRuntime);
+    w.key("omega_specializations").value(omegaSpecializations());
+    w.endObject();
 }
 
 void

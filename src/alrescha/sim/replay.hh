@@ -32,10 +32,12 @@
 #ifndef ALR_ALRESCHA_SIM_REPLAY_HH
 #define ALR_ALRESCHA_SIM_REPLAY_HH
 
-#include <iosfwd>
-
 #include "alrescha/params.hh"
 #include "alrescha/sim/replay_fns.hh"
+
+namespace alr::json {
+class Writer;
+} // namespace alr::json
 
 namespace alr {
 namespace replay {
@@ -68,13 +70,13 @@ const char *omegaSpecializations();
 const char *toString(SimdMode mode);
 
 /**
- * The shared "version" provenance block every CLI driver embeds in its
- * --json document: {"git", "simd_build", "simd_runtime",
- * "omega_specializations"}.  simd_runtime reflects what @p mode
- * resolves to on this machine, so reports stay honest about which arm
- * actually ran.
+ * The shared "version" provenance block every --json document embeds:
+ * {"git", "simd_build", "simd_runtime", "omega_specializations"}.
+ * @p simdRuntime names the replay arm that actually ran
+ * (selectedName() of the run's --simd mode), so reports stay honest
+ * about it.
  */
-void writeVersionJson(std::ostream &os, SimdMode mode);
+void writeVersionJson(json::Writer &w, const char *simdRuntime);
 
 /** Parse a --simd= / ALR_SIMD_FORCE spelling ("auto", "scalar",
  *  "sse2", "avx2", "avx512", "neon"); false on unknown input. */

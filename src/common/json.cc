@@ -322,46 +322,6 @@ struct Parser
     }
 };
 
-void
-dumpString(std::ostream &os, const std::string &s)
-{
-    os << '"';
-    for (unsigned char c : s) {
-        switch (c) {
-          case '"': os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          case '\t': os << "\\t"; break;
-          case '\r': os << "\\r"; break;
-          case '\b': os << "\\b"; break;
-          case '\f': os << "\\f"; break;
-          default:
-              if (c < 0x20) {
-                  char buf[8];
-                  std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                  os << buf;
-              } else {
-                  os << char(c);
-              }
-        }
-    }
-    os << '"';
-}
-
-void
-dumpNumber(std::ostream &os, double d)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", d);
-    os << buf;
-    // A double that prints integral would parse back as Int; the ".0"
-    // suffix keeps the kind stable across a round trip.
-    for (const char *p = buf; *p; ++p)
-        if (*p == '.' || *p == 'e' || *p == 'E' || *p == 'n')
-            return;
-    os << ".0";
-}
-
 } // namespace
 
 const char *
@@ -499,59 +459,205 @@ parseFile(const std::string &path)
 }
 
 void
+Writer::separate()
+{
+    if (_stack.empty())
+        return;
+    Frame &f = _stack.back();
+    if (f.oneLine) {
+        if (!f.empty)
+            _os << ", ";
+    } else {
+        _os << (f.empty ? "\n" : ",\n");
+        newlinePad();
+    }
+    f.empty = false;
+}
+
+void
+Writer::newlinePad()
+{
+    size_t n = size_t(_indent) + 2 * _stack.size();
+    if (_pad.size() < n)
+        _pad.assign(n, ' ');
+    _os.write(_pad.data(), std::streamsize(n));
+}
+
+Writer &
+Writer::raw(std::string_view text)
+{
+    assert(_afterKey || _stack.empty() || !_stack.back().object);
+    if (!_afterKey)
+        separate();
+    _afterKey = false;
+    _os << text;
+    return *this;
+}
+
+Writer &
+Writer::begin(char open, bool object, bool oneLine)
+{
+    raw(std::string_view(&open, 1));
+    bool parentOneLine = !_stack.empty() && _stack.back().oneLine;
+    _stack.push_back({object, oneLine || parentOneLine});
+    return *this;
+}
+
+Writer &
+Writer::end(char close)
+{
+    assert(!_stack.empty() && _stack.back().object == (close == '}') &&
+           !_afterKey);
+    Frame f = _stack.back();
+    _stack.pop_back();
+    if (!f.empty && !f.oneLine) {
+        _os << '\n';
+        newlinePad();
+    }
+    _os << close;
+    return *this;
+}
+
+Writer &
+Writer::beginObject(bool oneLine)
+{
+    return begin('{', true, oneLine);
+}
+
+Writer &
+Writer::endObject()
+{
+    return end('}');
+}
+
+Writer &
+Writer::beginArray(bool oneLine)
+{
+    return begin('[', false, oneLine);
+}
+
+Writer &
+Writer::endArray()
+{
+    return end(']');
+}
+
+Writer &
+Writer::key(std::string_view k)
+{
+    assert(!_stack.empty() && _stack.back().object && !_afterKey);
+    separate();
+    string(k);
+    _os << ": ";
+    _afterKey = true;
+    return *this;
+}
+
+void
+Writer::string(std::string_view s)
+{
+    _os << '"';
+    // Plain characters go out in runs; only the ones JSON requires
+    // escaped are written one at a time.
+    size_t run = 0;
+    for (size_t i = 0; i < s.size(); ++i) {
+        unsigned char c = (unsigned char)s[i];
+        if (c >= 0x20 && c != '"' && c != '\\')
+            continue;
+        _os.write(s.data() + run, std::streamsize(i - run));
+        run = i + 1;
+        switch (c) {
+          case '"': _os << "\\\""; break;
+          case '\\': _os << "\\\\"; break;
+          case '\n': _os << "\\n"; break;
+          case '\t': _os << "\\t"; break;
+          case '\r': _os << "\\r"; break;
+          case '\b': _os << "\\b"; break;
+          case '\f': _os << "\\f"; break;
+          default: {
+              char buf[8];
+              std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+              _os << buf;
+          }
+        }
+    }
+    _os.write(s.data() + run, std::streamsize(s.size() - run));
+    _os << '"';
+}
+
+Writer &
+Writer::value(std::string_view s)
+{
+    raw({});
+    string(s);
+    return *this;
+}
+
+Writer &
+Writer::value(bool b)
+{
+    return raw(b ? "true" : "false");
+}
+
+Writer &
+Writer::value(double d)
+{
+    if (!std::isfinite(d))
+        return null(); // JSON has no NaN or infinity
+    char buf[40];
+    int n = std::snprintf(buf, sizeof(buf), "%.17g", d);
+    // A double that prints integral would parse back as Int; the ".0"
+    // suffix keeps the kind stable across a round trip.
+    if (std::string_view(buf, size_t(n)).find_first_of(".eE") ==
+        std::string_view::npos) {
+        buf[n++] = '.';
+        buf[n++] = '0';
+    }
+    return raw(std::string_view(buf, size_t(n)));
+}
+
+Writer &
+Writer::null()
+{
+    return raw("null");
+}
+
+Writer &
+Writer::number(double d)
+{
+    if (d == std::floor(d) && std::abs(d) < 0x1p53)
+        return value(int64_t(d));
+    return value(d);
+}
+
+void
 dump(std::ostream &os, const Value &v, int indent)
 {
-    std::string pad(size_t(indent), ' ');
-    std::string pad2(size_t(indent) + 2, ' ');
-    switch (v.kind()) {
-      case Kind::Null:
-          os << "null";
-          break;
-      case Kind::Bool:
-          os << (v.asBool() ? "true" : "false");
-          break;
-      case Kind::Int:
-          os << v.asInt();
-          break;
-      case Kind::Double:
-          dumpNumber(os, v.asDouble());
-          break;
-      case Kind::String:
-          dumpString(os, v.asString());
-          break;
-      case Kind::Array: {
-          if (v.elements().empty()) {
-              os << "[]";
+    Writer w(os, indent);
+    auto emit = [&w](const Value &x, auto &self) -> void {
+        switch (x.kind()) {
+          case Kind::Null: w.null(); break;
+          case Kind::Bool: w.value(x.asBool()); break;
+          case Kind::Int: w.value(x.asInt()); break;
+          case Kind::Double: w.value(x.asDouble()); break;
+          case Kind::String: w.value(x.asString()); break;
+          case Kind::Array:
+              w.beginArray();
+              for (const Value &e : x.elements())
+                  self(e, self);
+              w.endArray();
               break;
-          }
-          os << "[";
-          bool first = true;
-          for (const Value &e : v.elements()) {
-              os << (first ? "\n" : ",\n") << pad2;
-              dump(os, e, indent + 2);
-              first = false;
-          }
-          os << "\n" << pad << "]";
-          break;
-      }
-      case Kind::Object: {
-          if (v.members().empty()) {
-              os << "{}";
+          case Kind::Object:
+              w.beginObject();
+              for (const auto &[k, m] : x.members()) {
+                  w.key(k);
+                  self(m, self);
+              }
+              w.endObject();
               break;
-          }
-          os << "{";
-          bool first = true;
-          for (const auto &[k, m] : v.members()) {
-              os << (first ? "\n" : ",\n") << pad2;
-              dumpString(os, k);
-              os << ": ";
-              dump(os, m, indent + 2);
-              first = false;
-          }
-          os << "\n" << pad << "}";
-          break;
-      }
-    }
+        }
+    };
+    emit(v, emit);
 }
 
 std::string

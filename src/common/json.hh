@@ -1,36 +1,37 @@
 /**
  * @file
- * Strict JSON reader and writer for the observability artifacts.
+ * Strict JSON reader and the one JSON writer for every artifact.
  *
- * Every tool in this repo emits JSON (alr_sim --json, --profile, the
- * metrics snapshots, BENCH_*.json); this is the matching *reader*, so
- * cross-run tooling (alr_diff, the in-process A/B harness) can consume
- * those artifacts without shelling out to python.  It is a DOM parser
- * tuned for correctness, not speed:
+ * Every JSON document this repo emits (alr_sim --json / --profile /
+ * --timeline, the stat tree and snapshots, the metrics snapshots,
+ * alr_serve --json, BENCH_*.json) is written through json::Writer, and
+ * every tool that reads one back (alr_diff, the in-process A/B
+ * harness, perfbench) uses parse().  One escape routine and one number
+ * routine therefore serve both sides:
  *
- * - **Strict**: rejects everything RFC 8259 rejects -- trailing
+ * - **Strict reader**: rejects everything RFC 8259 rejects -- trailing
  *   content, bad escapes, lone surrogates, raw control characters,
  *   leading zeros, bare fractions ("1." / ".5"), empty exponents,
  *   non-finite results -- plus duplicate object keys, which the RFC
  *   merely frowns at but which always indicate a corrupt artifact
  *   here.  Errors carry the byte offset.
- * - **Round-trippable**: parse(dump(x)) == x for every value this
- *   repo emits.  Objects preserve insertion order; integers that fit
- *   int64 stay integers; other numbers are doubles printed with 17
- *   significant digits (exact double round trip).
- *
- * Not a general-purpose serialization layer: the writers in
- * bench_util.hh / the stats package remain the emitting side; this is
- * the consuming side.
+ * - **Strict writer**: strings escape '"', '\\' and every control
+ *   character; doubles print %.17g (exact round trip) and non-finite
+ *   doubles print null, so every emitted document parses.
+ * - **Round-trippable**: parse(dump(x)) == x for every finite value.
+ *   Objects preserve insertion order; integers that fit int64 stay
+ *   integers; other numbers are doubles.
  */
 
 #ifndef ALR_COMMON_JSON_HH
 #define ALR_COMMON_JSON_HH
 
+#include <charconv>
 #include <cstdint>
 #include <ostream>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace alr::json {
@@ -144,10 +145,81 @@ Parsed parse(std::string_view text);
 Parsed parseFile(const std::string &path);
 
 /**
- * Serialize with 2-space indentation.  dump() and parse() are inverse:
- * parse(dump(v)) == v, and doubles keep their exact bit pattern
- * (printed %.17g, suffixed ".0" when they would read back integral).
+ * Streaming JSON emitter.  It owns the separator and indentation
+ * state: a block container puts each member on its own line, indented
+ * two spaces per level; a one-line container (and everything nested
+ * in it) keeps its members on one line, separated by ", ".  Nothing is
+ * buffered, so documents of any size (the Chrome trace) stream
+ * straight to the output.
+ *
+ * Calls chain: w.beginObject().key("n").value(3).endObject().
+ * Inside an object every value is preceded by key(); the writer
+ * asserts on misuse (a value where a key is due, unbalanced end*()).
+ * No trailing newline is written; the caller ends the document.
  */
+class Writer
+{
+  public:
+    /** @p indent: column of the document's outer level. */
+    explicit Writer(std::ostream &os, int indent = 0)
+        : _os(os), _indent(indent)
+    {
+    }
+
+    Writer &beginObject(bool oneLine = false);
+    Writer &endObject();
+    Writer &beginArray(bool oneLine = false);
+    Writer &endArray();
+    Writer &key(std::string_view k);
+
+    Writer &value(std::string_view s);
+    Writer &value(const char *s) { return value(std::string_view(s)); }
+    Writer &value(bool b);
+    /** %.17g, suffixed ".0" when the text would read back as an
+     *  integer; NaN and +-Inf print null. */
+    Writer &value(double d);
+    /** Any integer type, printed exactly. */
+    template <typename T>
+        requires(std::is_integral_v<T> && !std::is_same_v<T, bool>)
+    Writer &value(T v)
+    {
+        char buf[24];
+        auto r = std::to_chars(buf, buf + sizeof(buf), v);
+        return raw(std::string_view(buf, size_t(r.ptr - buf)));
+    }
+    Writer &null();
+
+    /** A count kept in a double: integral values below 2^53 in
+     *  magnitude print as JSON integers, anything else as value(d). */
+    Writer &number(double d);
+
+  private:
+    struct Frame
+    {
+        bool object;
+        bool oneLine;
+        bool empty = true;
+    };
+
+    /** Separator and indentation before a value or a key. */
+    void separate();
+    /** Indentation of the current nesting level. */
+    void newlinePad();
+    /** A scalar's text, after its separator. */
+    Writer &raw(std::string_view text);
+    Writer &begin(char open, bool object, bool oneLine);
+    Writer &end(char close);
+    void string(std::string_view s);
+
+    std::ostream &_os;
+    int _indent;
+    std::vector<Frame> _stack;
+    bool _afterKey = false;
+    std::string _pad; ///< spaces, grown to the deepest indentation
+};
+
+/** Serialize @p v through Writer: block layout, 2-space indentation
+ *  starting at column @p indent. */
 void dump(std::ostream &os, const Value &v, int indent = 0);
 std::string dump(const Value &v);
 

@@ -35,6 +35,10 @@
 #include <string>
 #include <vector>
 
+namespace alr::json {
+class Writer;
+} // namespace alr::json
+
 namespace alr::stats {
 
 /**
@@ -182,9 +186,11 @@ class StatGroup
      * Render the group as a JSON object with the stable schema
      * {"group", "stats": {name: {"value", "desc", "kind"}}, "children"}.
      * Distribution entries additionally carry count/min/max/mean/
-     * variance/p50/p90/p99; "value" is the mean.
+     * variance/p50/p90/p99; "value" is the mean.  The Writer form
+     * nests the object inside a larger document.
      */
-    void dumpJson(std::ostream &os, int indent = 0) const;
+    void dumpJson(json::Writer &w) const;
+    void dumpJson(std::ostream &os) const;
 
     const std::string &name() const { return _name; }
 
@@ -240,6 +246,7 @@ class StatSnapshotter
     const std::vector<std::string> &names() const { return _names; }
 
     /** {"interval": N, "columns": [...], "rows": [{"cycle", "values"}]} */
+    void dumpJson(json::Writer &w) const;
     void dumpJson(std::ostream &os) const;
     /** Header "cycle,<columns...>" then one CSV line per row. */
     void dumpCsv(std::ostream &os) const;

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <cstdlib>
 #include <exception>
 #include <memory>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 
 namespace alr {
 
@@ -163,14 +163,7 @@ ThreadPool::defaultThreadCount()
 bool
 ThreadPool::parseThreadCount(const char *text, int *out)
 {
-    errno = 0;
-    char *tail = nullptr;
-    long n = std::strtol(text, &tail, 10);
-    if (tail == text || *tail != '\0' || errno == ERANGE || n < 1 ||
-        n > kMaxThreads)
-        return false;
-    *out = int(n);
-    return true;
+    return parseBounded(text, 1, kMaxThreads, out);
 }
 
 ThreadPool &

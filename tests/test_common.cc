@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "common/random.hh"
 #include "common/stats.hh"
 
@@ -100,6 +101,41 @@ TEST(StatsDeath, DuplicateRegistrationPanics)
     stats::Scalar a;
     g.registerScalar("a", &a, "");
     EXPECT_DEATH(g.registerScalar("a", &a, ""), "duplicate");
+}
+
+TEST(ParseBounded, IntegersAcceptOnlyWholeInRangeValues)
+{
+    uint32_t v = 7;
+    EXPECT_TRUE(parseBounded<uint32_t>("1", 1, 1024, &v));
+    EXPECT_EQ(v, 1u);
+    EXPECT_TRUE(parseBounded<uint32_t>("1024", 1, 1024, &v));
+    EXPECT_EQ(v, 1024u);
+    EXPECT_TRUE(parseBounded<uint32_t>("4294967295", 0, UINT32_MAX, &v));
+    EXPECT_EQ(v, UINT32_MAX);
+    for (const char *bad : {"", "abc", "0", "1025", "-1", "8x", "x8", "1.5",
+                            "1e3", "99999999999999999999"}) {
+        v = 7;
+        EXPECT_FALSE(parseBounded<uint32_t>(bad, 1, 1024, &v)) << bad;
+        EXPECT_EQ(v, 7u) << bad;
+    }
+    EXPECT_FALSE(parseBounded<uint32_t>("4294967296", 0, UINT32_MAX, &v));
+    int64_t big = 0;
+    EXPECT_TRUE(parseBounded("9223372036854775807", 1, INT64_MAX, &big));
+    EXPECT_EQ(big, INT64_MAX);
+    EXPECT_FALSE(parseBounded("9223372036854775808", 1, INT64_MAX, &big));
+}
+
+TEST(ParseBounded, DoublesRejectNonFiniteAndOutOfRange)
+{
+    double d = -1.0;
+    EXPECT_TRUE(parseBounded("0.25", 0.0, 1.0, &d));
+    EXPECT_EQ(d, 0.25);
+    for (const char *bad : {"", "nan", "inf", "-inf", "1.5", "-0.1", "0.5x",
+                            "1e999"}) {
+        d = -1.0;
+        EXPECT_FALSE(parseBounded(bad, 0.0, 1.0, &d)) << bad;
+        EXPECT_EQ(d, -1.0) << bad;
+    }
 }
 
 TEST(Rng, DeterministicForSameSeed)

@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/json.hh"
 #include "common/metrics.hh"
 #include "common/stats.hh"
 
@@ -140,6 +141,30 @@ TEST(MetricsRegistry, JsonExposesSchemaFields)
     EXPECT_NE(doc.find("\"window\""), std::string::npos);
     EXPECT_NE(doc.find("\"buckets\""), std::string::npos);
     EXPECT_NE(doc.find("\"p99.9\""), std::string::npos);
+}
+
+TEST(MetricsRegistry, JsonStrictParsesAndLabelValuesRoundTrip)
+{
+    const std::string label = "say \"hi\"\nthen leave";
+    metrics::Registry reg;
+    reg.counter("reqs", "served requests", {{"matrix", label}}).add(5.0);
+    metrics::Histogram &h = reg.histogram("lat_us", "latency");
+    h.observe(3.0);
+    h.observe(9.0);
+
+    std::ostringstream os;
+    reg.writeJson(os);
+    json::Parsed doc = json::parse(os.str());
+    ASSERT_TRUE(doc.ok) << doc.error << " at " << doc.offset;
+    const auto &ms = doc.value.find("metrics")->elements();
+    ASSERT_EQ(ms.size(), 2u);
+    // Sorted by name: lat_us, then reqs.
+    EXPECT_EQ(ms[1].find("labels")->stringAt("matrix"), label);
+    EXPECT_TRUE(ms[1].find("value")->isInt()); // counters stay integers
+    const json::Value *buckets = ms[0].find("buckets");
+    ASSERT_EQ(buckets->members().size(), 2u);
+    EXPECT_EQ(buckets->members()[0].first, "4");
+    EXPECT_EQ(buckets->members()[1].first, "16");
 }
 
 TEST(MetricsRegistry, PrometheusExposesFamiliesAndCumulativeBuckets)

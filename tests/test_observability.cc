@@ -9,7 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cctype>
+#include <cmath>
 #include <map>
 #include <sstream>
 #include <string>
@@ -18,6 +18,7 @@
 
 #include "alrescha/accelerator.hh"
 #include "alrescha/multi.hh"
+#include "common/json.hh"
 #include "common/stats.hh"
 #include "common/timeline.hh"
 #include "common/trace.hh"
@@ -28,161 +29,11 @@ using namespace alr;
 
 namespace {
 
-/**
- * Minimal recursive-descent JSON syntax validator, enough to assert the
- * exporters emit well-formed documents without an external parser (the
- * CI check_timeline.py does the full json.load cross-check).
- */
-class JsonChecker
-{
-  public:
-    explicit JsonChecker(const std::string &text)
-        : _p(text.c_str()), _end(text.c_str() + text.size())
-    {
-    }
-
-    bool valid()
-    {
-        skipWs();
-        if (!value())
-            return false;
-        skipWs();
-        return _p == _end;
-    }
-
-  private:
-    void skipWs()
-    {
-        while (_p < _end && std::isspace(static_cast<unsigned char>(*_p)))
-            ++_p;
-    }
-
-    bool literal(const char *s)
-    {
-        const char *q = _p;
-        for (; *s; ++s, ++q) {
-            if (q >= _end || *q != *s)
-                return false;
-        }
-        _p = q;
-        return true;
-    }
-
-    bool string()
-    {
-        if (_p >= _end || *_p != '"')
-            return false;
-        ++_p;
-        while (_p < _end && *_p != '"') {
-            if (*_p == '\\') {
-                ++_p;
-                if (_p >= _end)
-                    return false;
-            }
-            ++_p;
-        }
-        if (_p >= _end)
-            return false;
-        ++_p; // closing quote
-        return true;
-    }
-
-    bool number()
-    {
-        const char *start = _p;
-        if (_p < _end && (*_p == '-' || *_p == '+'))
-            ++_p;
-        bool digits = false;
-        while (_p < _end &&
-               (std::isdigit(static_cast<unsigned char>(*_p)) ||
-                *_p == '.' || *_p == 'e' || *_p == 'E' || *_p == '-' ||
-                *_p == '+')) {
-            digits = digits ||
-                     std::isdigit(static_cast<unsigned char>(*_p));
-            ++_p;
-        }
-        return digits && _p > start;
-    }
-
-    bool value()
-    {
-        skipWs();
-        if (_p >= _end)
-            return false;
-        switch (*_p) {
-          case '{': return object();
-          case '[': return array();
-          case '"': return string();
-          case 't': return literal("true");
-          case 'f': return literal("false");
-          case 'n': return literal("null");
-          default: return number();
-        }
-    }
-
-    bool object()
-    {
-        ++_p; // '{'
-        skipWs();
-        if (_p < _end && *_p == '}') {
-            ++_p;
-            return true;
-        }
-        for (;;) {
-            skipWs();
-            if (!string())
-                return false;
-            skipWs();
-            if (_p >= _end || *_p != ':')
-                return false;
-            ++_p;
-            if (!value())
-                return false;
-            skipWs();
-            if (_p < _end && *_p == ',') {
-                ++_p;
-                continue;
-            }
-            break;
-        }
-        if (_p >= _end || *_p != '}')
-            return false;
-        ++_p;
-        return true;
-    }
-
-    bool array()
-    {
-        ++_p; // '['
-        skipWs();
-        if (_p < _end && *_p == ']') {
-            ++_p;
-            return true;
-        }
-        for (;;) {
-            if (!value())
-                return false;
-            skipWs();
-            if (_p < _end && *_p == ',') {
-                ++_p;
-                continue;
-            }
-            break;
-        }
-        if (_p >= _end || *_p != ']')
-            return false;
-        ++_p;
-        return true;
-    }
-
-    const char *_p;
-    const char *_end;
-};
-
+/** Strict parse of an emitted document (the reader alr_diff uses). */
 bool
 jsonValid(const std::string &text)
 {
-    return JsonChecker(text).valid();
+    return json::parse(text).ok;
 }
 
 } // namespace
@@ -306,7 +157,7 @@ TEST(StatGroupJson, SchemaIsValidAndNamesRoundTrip)
     stats::Distribution d;
     d.sample(3.0);
     d.sample(5.0);
-    root.registerScalar("hits", &s, "a \"quoted\" desc");
+    root.registerScalar("hits", &s, "a \"quoted\"\nmultiline desc");
     root.registerDistribution("lat", &d, "latencies");
     root.registerFormula("twice", [&] { return 2.0 * s.value(); },
                          "derived");
@@ -326,6 +177,11 @@ TEST(StatGroupJson, SchemaIsValidAndNamesRoundTrip)
     EXPECT_NE(doc.find("\"kind\": \"formula\""), std::string::npos);
     EXPECT_NE(doc.find("\"kind\": \"distribution\""), std::string::npos);
     EXPECT_NE(doc.find("\"children\""), std::string::npos);
+    json::Parsed parsed = json::parse(doc);
+    ASSERT_TRUE(parsed.ok) << parsed.error;
+    const json::Value *hits = parsed.value.find("stats")->find("hits");
+    ASSERT_NE(hits, nullptr);
+    EXPECT_EQ(hits->stringAt("desc"), "a \"quoted\"\nmultiline desc");
 
     // Every advertised name resolves through lookup().
     for (const std::string &name : root.statNames()) {
@@ -581,6 +437,56 @@ TEST(Timeline, ChromeTraceExportIsValidJson)
     EXPECT_NE(doc.find("\"ts\": "), std::string::npos);
     EXPECT_NE(doc.find("\"dur\": "), std::string::npos);
     EXPECT_NE(doc.find("modeled (1us = 1 cycle)"), std::string::npos);
+}
+
+TEST(Timeline, TrackNamesRoundTripAndNanCountersStayStrict)
+{
+    const std::string name = "tab\there \"quoted\" back\\slash";
+    timeline::setTrackName(timeline::kPidServe, 99, name);
+    timeline::reset();
+    timeline::setEnabled(true);
+    timeline::counter("nan_counter", 5, std::nan(""));
+    timeline::setEnabled(false);
+
+    std::ostringstream os;
+    timeline::exportChromeTrace(os);
+    json::Parsed doc = json::parse(os.str());
+    ASSERT_TRUE(doc.ok) << doc.error << " at " << doc.offset;
+    bool sawName = false, sawCounter = false;
+    for (const json::Value &ev : doc.value.find("traceEvents")->elements()) {
+        if (ev.stringAt("ph") == "M" &&
+            ev.intAt("tid", -1) == 99)
+            sawName = ev.find("args")->stringAt("name") == name;
+        if (ev.stringAt("name") == "nan_counter")
+            sawCounter = ev.find("args")->find("value")->isNull();
+    }
+    EXPECT_TRUE(sawName);
+    EXPECT_TRUE(sawCounter);
+    timeline::reset();
+}
+
+TEST(JsonWriter, NonFiniteDoublesWriteNull)
+{
+    for (double d : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+        json::Parsed p = json::parse(json::dump(json::Value(d)));
+        ASSERT_TRUE(p.ok) << p.error;
+        EXPECT_TRUE(p.value.isNull());
+    }
+}
+
+TEST(JsonWriter, NestsBlockAndOneLineContainers)
+{
+    std::ostringstream os;
+    json::Writer w(os);
+    w.beginObject().key("n").value(uint64_t(18446744073709551615ull));
+    w.key("row").beginObject(true).key("a").value(-3);
+    w.key("xs").beginArray().value(1.5).number(2.0).endArray();
+    w.endObject().key("empty").beginArray().endArray().endObject();
+    EXPECT_EQ(os.str(), "{\n"
+                        "  \"n\": 18446744073709551615,\n"
+                        "  \"row\": {\"a\": -3, \"xs\": [1.5, 2]},\n"
+                        "  \"empty\": []\n"
+                        "}");
 }
 
 TEST(Timeline, DisabledRecorderKeepsResultsIdentical)

@@ -34,6 +34,7 @@
 
 #include "alrescha/sim/diff.hh"
 #include "common/json.hh"
+#include "common/parse.hh"
 
 using namespace alr;
 
@@ -80,8 +81,7 @@ main(int argc, char **argv)
         else if (arg == "--fail-on")
             failOn = next();
         else if (arg == "--top") {
-            topK = std::atol(next().c_str());
-            if (topK <= 0)
+            if (!parseFlag("alr_diff", arg, next(), 1, INT64_MAX, &topK))
                 usage();
         } else if (!arg.empty() && arg[0] == '-' && arg != "-") {
             usage();

@@ -29,7 +29,6 @@
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <mutex>
@@ -39,8 +38,10 @@
 
 #include "alrescha/serve.hh"
 #include "alrescha/sim/replay.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/metrics.hh"
+#include "common/parse.hh"
 #include "common/thread_pool.hh"
 #include "common/timeline.hh"
 #include "common/version.hh"
@@ -122,50 +123,37 @@ parse(int argc, char **argv)
                 usage();
             return argv[++i];
         };
+        // Numeric flags: a bad or out-of-range value says why, then
+        // prints the usage text.
+        auto num = [&](auto lo, auto hi, auto *out) {
+            using T = std::remove_pointer_t<decltype(out)>;
+            if (!parseFlag<T>("alr_serve", arg, next(), T(lo), T(hi), out))
+                usage();
+        };
         if (arg == "--fleet") {
-            opt.fleet = std::atoi(next().c_str());
-            if (opt.fleet <= 0)
-                usage();
+            num(1, INT32_MAX, &opt.fleet);
         } else if (arg == "--scale") {
-            opt.scale = Index(std::atoi(next().c_str()));
-            if (opt.scale == 0)
-                usage();
+            num(1, UINT32_MAX, &opt.scale);
         } else if (arg == "--omega") {
-            opt.omega = Index(std::atoi(next().c_str()));
-            if (opt.omega == 0)
-                usage();
+            num(1, kMaxOmega, &opt.omega);
         } else if (arg == "--requests") {
-            opt.trace.requests = uint32_t(std::atol(next().c_str()));
+            num(0, UINT32_MAX, &opt.trace.requests);
         } else if (arg == "--zipf") {
-            opt.trace.zipfS = std::atof(next().c_str());
+            num(0.0, 100.0, &opt.trace.zipfS);
         } else if (arg == "--seed") {
-            opt.trace.seed = uint64_t(std::atoll(next().c_str()));
+            num(0, INT64_MAX, &opt.trace.seed);
         } else if (arg == "--burstiness") {
-            opt.trace.burstiness = std::atof(next().c_str());
+            num(0.0, 1.0, &opt.trace.burstiness);
         } else if (arg == "--threads") {
-            std::string text = next();
-            if (!ThreadPool::parseThreadCount(text.c_str(),
-                                              &opt.cfg.threads)) {
-                std::fprintf(stderr,
-                             "alr_serve: --threads wants an integer in "
-                             "[1, %d], got '%s'\n",
-                             ThreadPool::kMaxThreads, text.c_str());
-                usage();
-            }
+            num(1, ThreadPool::kMaxThreads, &opt.cfg.threads);
         } else if (arg == "--batch-window") {
-            opt.cfg.batchWindow = uint32_t(std::atoi(next().c_str()));
+            num(0, UINT32_MAX, &opt.cfg.batchWindow);
         } else if (arg == "--queue") {
-            opt.cfg.queueDepth = size_t(std::atol(next().c_str()));
-            if (opt.cfg.queueDepth == 0)
-                usage();
+            num(1, INT32_MAX, &opt.cfg.queueDepth);
         } else if (arg == "--pcg-iters") {
-            opt.cfg.pcgIterations = std::atoi(next().c_str());
-            if (opt.cfg.pcgIterations <= 0)
-                usage();
+            num(1, INT32_MAX, &opt.cfg.pcgIterations);
         } else if (arg == "--schedule-cache") {
-            opt.scheduleCache = std::atoi(next().c_str());
-            if (opt.scheduleCache <= 0)
-                usage();
+            num(1, INT32_MAX, &opt.scheduleCache);
         } else if (arg == "--cache-dir") {
             opt.cacheDir = next();
         } else if (arg == "--json") {
@@ -175,30 +163,16 @@ parse(int argc, char **argv)
         } else if (arg == "--metrics-out") {
             opt.metricsOut = next();
         } else if (arg == "--metrics-interval") {
-            opt.metricsIntervalMs = std::atof(next().c_str());
-            if (opt.metricsIntervalMs <= 0.0)
-                usage();
+            num(0.0, 3.6e6, &opt.metricsIntervalMs);
         } else if (arg == "--slo-us") {
-            opt.sloUs = std::atof(next().c_str());
-            if (opt.sloUs <= 0.0)
-                usage();
+            num(0.0, 3.6e9, &opt.sloUs);
         } else if (arg == "--slo-objective") {
-            opt.sloObjective = std::atof(next().c_str());
-            if (opt.sloObjective <= 0.0 || opt.sloObjective >= 1.0)
-                usage();
+            num(0.0, 0.999999999, &opt.sloObjective);
         } else {
             usage();
         }
     }
     return opt;
-}
-
-void
-jnum(std::ostream &os, const char *fmt, double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), fmt, v);
-    os << buf;
 }
 
 } // namespace
@@ -294,77 +268,57 @@ main(int argc, char **argv)
         evictions += fleet.at(i).engine().scheduleEvictions();
 
     if (opt.json) {
-        std::ostream &os = std::cout;
-        os << "{\n";
-        os << "  \"schema_version\": " << version::kJsonSchemaVersion
-           << ",\n";
-        os << "  \"fleet\": " << fleet.size() << ",\n";
-        os << "  \"requests\": " << trace.size() << ",\n";
-        os << "  \"completed\": " << res.completed << ",\n";
-        os << "  \"work_items\": " << res.workItems << ",\n";
-        os << "  \"batch_window\": " << opt.cfg.batchWindow << ",\n";
-        os << "  \"threads\": " << opt.cfg.threads << ",\n";
-        os << "  \"schedules_restored\": " << restored << ",\n";
-        os << "  \"schedule_compiles_warm\": " << warmCompiles << ",\n";
-        os << "  \"schedule_compiles_total\": " << fleet.scheduleCompiles()
-           << ",\n";
-        os << "  \"schedule_evictions\": " << evictions << ",\n";
-        os << "  \"modeled_cycles\": " << fleet.totalCycles() << ",\n";
-        os << "  \"wall_ms\": ";
-        jnum(os, "%.3f", res.wallMs);
-        os << ",\n  \"requests_per_sec\": ";
-        jnum(os, "%.1f", res.requestsPerSec);
-        os << ",\n  \"latency_ns\": {\"p50\": ";
-        jnum(os, "%.0f", res.latencyNs.percentile(50));
-        os << ", \"p95\": ";
-        jnum(os, "%.0f", res.latencyNs.percentile(95));
-        os << ", \"p99\": ";
-        jnum(os, "%.0f", res.latencyNs.percentile(99));
-        os << "}";
-        auto sloBucket = [&](const SloBucket &b) {
-            os << "{\"name\": \"" << b.name
-               << "\", \"requests\": " << b.requests
-               << ", \"good\": " << b.good << ", \"bad\": " << b.bad
-               << ", \"latency_us\": {\"p50\": ";
-            jnum(os, "%.3f", b.p50);
-            os << ", \"p95\": ";
-            jnum(os, "%.3f", b.p95);
-            os << ", \"p99\": ";
-            jnum(os, "%.3f", b.p99);
-            os << ", \"p99.9\": ";
-            jnum(os, "%.3f", b.p999);
-            os << "}}";
+        json::Writer w(std::cout);
+        w.beginObject().key("schema_version");
+        w.value(version::kJsonSchemaVersion);
+        w.key("fleet").value(fleet.size()).key("requests").value(trace.size());
+        w.key("completed").value(res.completed);
+        w.key("work_items").value(res.workItems);
+        w.key("batch_window").value(opt.cfg.batchWindow);
+        w.key("threads").value(opt.cfg.threads);
+        w.key("schedules_restored").value(restored);
+        w.key("schedule_compiles_warm").value(warmCompiles);
+        w.key("schedule_compiles_total").value(fleet.scheduleCompiles());
+        w.key("schedule_evictions").value(evictions);
+        w.key("modeled_cycles").value(fleet.totalCycles());
+        w.key("wall_ms").value(res.wallMs);
+        w.key("requests_per_sec").value(res.requestsPerSec);
+        w.key("latency_ns").beginObject(true);
+        for (auto [key, p] : {std::pair{"p50", 50.0}, {"p95", 95.0},
+                              {"p99", 99.0}})
+            w.key(key).number(res.latencyNs.percentile(p));
+        w.endObject();
+        auto sloBucket = [&w](const SloBucket &b) {
+            w.beginObject(true).key("name").value(b.name);
+            w.key("requests").value(b.requests).key("good").value(b.good);
+            w.key("bad").value(b.bad).key("latency_us").beginObject();
+            w.key("p50").value(b.p50).key("p95").value(b.p95);
+            w.key("p99").value(b.p99).key("p99.9").value(b.p999);
+            w.endObject().endObject();
         };
         // Exact-sample percentiles (not the log2-bucketed latency_ns
         // block above) plus SLO accounting, overall and per matrix.
-        os << ",\n  \"slo\": {\"target_us\": ";
-        jnum(os, "%.3f", slo.sloUs);
-        os << ", \"objective\": ";
-        jnum(os, "%.6g", slo.objective);
-        os << ", \"bad_fraction\": ";
-        jnum(os, "%.9g", slo.badFraction());
-        os << ", \"burn_rate\": ";
-        jnum(os, "%.9g", slo.burnRate());
-        os << ",\n    \"total\": ";
+        w.key("slo").beginObject().key("target_us").value(slo.sloUs);
+        w.key("objective").value(slo.objective);
+        w.key("bad_fraction").value(slo.badFraction());
+        w.key("burn_rate").value(slo.burnRate()).key("total");
         sloBucket(slo.total);
-        os << ",\n    \"per_matrix\": [";
-        for (size_t i = 0; i < slo.perMatrix.size(); ++i) {
-            os << (i ? ",\n      " : "\n      ");
-            sloBucket(slo.perMatrix[i]);
-        }
-        os << "\n    ]}";
-        os << ",\n  \"queue\": {\"high_water\": " << res.queueHighWater
-           << ", \"blocked_pushes\": " << res.queueBlockedPushes
-           << ", \"rejects\": " << res.queueRejects << "}";
-        os << ",\n  \"batch_size\": {\"batches\": "
-           << res.batchSize.count() << ", \"mean\": ";
-        jnum(os, "%.3f", res.batchSize.mean());
-        os << ", \"max\": ";
-        jnum(os, "%.0f", res.batchSize.max());
-        os << "},\n  \"version\": ";
-        replay::writeVersionJson(os, params.simdMode);
-        os << "\n}\n";
-        std::cout.flush();
+        w.key("per_matrix").beginArray();
+        for (const SloBucket &b : slo.perMatrix)
+            sloBucket(b);
+        w.endArray().endObject();
+        w.key("queue").beginObject(true);
+        w.key("high_water").value(res.queueHighWater);
+        w.key("blocked_pushes").value(res.queueBlockedPushes);
+        w.key("rejects").value(res.queueRejects).endObject();
+        w.key("batch_size").beginObject(true);
+        w.key("batches").value(res.batchSize.count());
+        w.key("mean").value(res.batchSize.mean());
+        w.key("max").number(res.batchSize.max()).endObject();
+        w.key("version");
+        replay::writeVersionJson(w, replay::selectedName(params.simdMode));
+        w.endObject();
+        std::cout << std::endl;
     } else {
         std::printf("fleet: %zu matrices (scale %u, omega %u)\n",
                     fleet.size(), opt.scale, opt.omega);

@@ -45,6 +45,7 @@
 #include "kernels/eigen.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "common/version.hh"
 #include "common/thread_pool.hh"
 #include "common/timeline.hh"
@@ -141,19 +142,15 @@ usage()
     std::exit(2);
 }
 
-/** A --threads / --engine-threads value: a bad one says why, then
+/** A numeric flag's value in [lo, hi]: a bad one says why, then
  *  prints the usage text. */
-int
-threadCountArg(const std::string &flag, const std::string &text)
+template <typename T>
+void
+numArg(const std::string &flag, const std::string &text,
+       std::type_identity_t<T> lo, std::type_identity_t<T> hi, T *out)
 {
-    int n = 0;
-    if (!ThreadPool::parseThreadCount(text.c_str(), &n)) {
-        std::fprintf(stderr,
-                     "alr_sim: %s wants an integer in [1, %d], got '%s'\n",
-                     flag.c_str(), ThreadPool::kMaxThreads, text.c_str());
+    if (!parseFlag<T>("alr_sim", flag, text, lo, hi, out))
         usage();
-    }
-    return n;
 }
 
 void
@@ -173,9 +170,8 @@ generate(const std::string &spec)
     if (colon == std::string::npos)
         fatal("generator spec needs NAME:SIZE, got '%s'", spec.c_str());
     std::string name = spec.substr(0, colon);
-    long size = std::atol(spec.c_str() + colon + 1);
-    if (size <= 0)
-        fatal("bad generator size in '%s'", spec.c_str());
+    int64_t size = 0;
+    numArg("--gen " + name, spec.substr(colon + 1), 1, INT32_MAX, &size);
 
     Rng rng(1234);
     if (name == "stencil2d")
@@ -239,19 +235,18 @@ applyArgs(Options &opt, const std::vector<std::string> &args,
         } else if (arg == "--kernel") {
             opt.kernel = next();
         } else if (arg == "--omega") {
-            opt.omega = Index(std::atoi(next().c_str()));
+            numArg(arg, next(), 1, kMaxOmega, &opt.omega);
         } else if (arg == "--source") {
-            opt.source = Index(std::atoi(next().c_str()));
+            numArg(arg, next(), 0, UINT32_MAX, &opt.source);
         } else if (arg == "--iters") {
-            opt.maxIterations = std::atoi(next().c_str());
+            numArg(arg, next(), 1, INT32_MAX, &opt.maxIterations);
         } else if (arg == "--threads") {
-            opt.threads = threadCountArg(arg, next());
+            numArg(arg, next(), 1, ThreadPool::kMaxThreads, &opt.threads);
         } else if (arg == "--engine-threads") {
-            opt.engineThreads = threadCountArg(arg, next());
+            numArg(arg, next(), 1, ThreadPool::kMaxThreads,
+                   &opt.engineThreads);
         } else if (arg == "--schedule-cache") {
-            opt.scheduleCache = std::atoi(next().c_str());
-            if (opt.scheduleCache <= 0)
-                usage();
+            numArg(arg, next(), 1, INT32_MAX, &opt.scheduleCache);
         } else if (arg == "--simd") {
             std::string mode = next();
             if (!replay::parseSimdMode(mode.c_str(), &opt.simdMode)) {
@@ -287,9 +282,7 @@ applyArgs(Options &opt, const std::vector<std::string> &args,
         } else if (arg == "--version") {
             printVersion();
         } else if (arg == "--stats-interval") {
-            opt.statsInterval = std::atol(next().c_str());
-            if (opt.statsInterval <= 0)
-                usage();
+            numArg(arg, next(), 1, INT64_MAX, &opt.statsInterval);
         } else {
             if (variant)
                 fatal("--ab: unknown override flag '%s'", arg.c_str());
@@ -358,6 +351,13 @@ void
 programAccelerator(Accelerator &acc, const CsrMatrix &a,
                    const Options &opt, bool symgsImage, bool fromImage)
 {
+    if ((opt.kernel == "bfs" || opt.kernel == "sssp") &&
+        opt.source >= a.rows()) {
+        std::fprintf(stderr,
+                     "alr_sim: --source %u is past the matrix's %u rows\n",
+                     opt.source, a.rows());
+        usage();
+    }
     if (fromImage) {
         if (symgsImage)
             acc.loadPde(a);
