@@ -125,7 +125,7 @@ benchDocument(const char *bench)
     json::Value root = json::Value::object();
     root.set("schema_version",
              json::Value(int64_t(version::kJsonSchemaVersion)));
-    root.set("bench", json::Value(std::string(bench)));
+    root.set("bench", json::Value(bench));
     return root;
 }
 

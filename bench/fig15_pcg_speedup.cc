@@ -50,7 +50,7 @@ main()
                       fmt(mem.bandwidthUtilization(d.matrix), 2)});
         json::Value row = json::Value::object();
         row.set("name", json::Value(d.name));
-        row.set("suite", json::Value(std::string("scientific")));
+        row.set("suite", json::Value("scientific"));
         row.set("wall_ms", json::Value(wall_ms));
         row.set("cycles", count(acc.engine().totalCycles()));
         row.set("bytes_streamed",
@@ -70,7 +70,7 @@ main()
     geo.set("alrescha", json::Value(geoMean(alr_speedups)));
     geo.set("memristive", json::Value(geoMean(mem_speedups)));
     json::Value root = benchDocument("fig15_pcg_speedup");
-    root.set("kernel", json::Value(std::string("pcg_iteration")));
+    root.set("kernel", json::Value("pcg_iteration"));
     root.set("datasets", std::move(json_rows));
     root.set("geo_mean_speedup", std::move(geo));
     writeJsonFile("BENCH_pcg.json", root);

@@ -54,7 +54,7 @@ main()
 
         json::Value row = json::Value::object();
         row.set("name", json::Value(d.name));
-        row.set("suite", json::Value(std::string("scientific")));
+        row.set("suite", json::Value("scientific"));
         row.set("wall_ms", json::Value(wall_ms));
         row.set("cycles", count(acc.engine().totalCycles()));
         row.set("bytes_streamed",
@@ -73,7 +73,7 @@ main()
     avg.set("gpu_seq_pct", json::Value(100.0 * gpuSum / n));
     avg.set("alrescha_seq_pct", json::Value(100.0 * alrSum / n));
     json::Value root = benchDocument("fig16_sequential_fraction");
-    root.set("kernel", json::Value(std::string("symgs")));
+    root.set("kernel", json::Value("symgs"));
     root.set("datasets", std::move(json_rows));
     root.set("average", std::move(avg));
     writeJsonFile("BENCH_symgs.json", root);

@@ -69,7 +69,7 @@ runSuite(const std::vector<Dataset> &suite, const char *label,
                       fmt(m.os_cache_pct, 1)});
         json::Value row = json::Value::object();
         row.set("name", json::Value(suite[i].name));
-        row.set("suite", json::Value(std::string(label)));
+        row.set("suite", json::Value(label));
         row.set("wall_ms", json::Value(m.wall_ms));
         row.set("cycles", count(m.cycles));
         row.set("bytes_streamed", count(m.bytes));
@@ -102,7 +102,7 @@ main()
     geo.set("scientific", json::Value(geoMean(sci)));
     geo.set("graph", json::Value(geoMean(graph)));
     json::Value root = benchDocument("fig18_spmv_speedup");
-    root.set("kernel", json::Value(std::string("spmv")));
+    root.set("kernel", json::Value("spmv"));
     root.set("datasets", std::move(json_rows));
     root.set("geo_mean_speedup", std::move(geo));
     writeJsonFile("BENCH_spmv.json", root);

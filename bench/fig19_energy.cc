@@ -65,7 +65,7 @@ runSuite(const std::vector<Dataset> &suite, const char *label,
 
         json::Value row = json::Value::object();
         row.set("name", json::Value(d.name));
-        row.set("suite", json::Value(std::string(label)));
+        row.set("suite", json::Value(label));
         row.set("wall_ms", json::Value(wall_ms));
         row.set("cycles", count(acc.engine().totalCycles()));
         row.set("bytes_streamed",
@@ -101,7 +101,7 @@ main()
                 fmt(geoMean(vsCpu), 1).c_str());
 
     json::Value root = benchDocument("fig19_energy");
-    root.set("kernel", json::Value(std::string("spmv")));
+    root.set("kernel", json::Value("spmv"));
     root.set("datasets", std::move(jsonRows));
     root.set("geo_mean_vs_gpu", json::Value(geoMean(vsGpu)));
     root.set("geo_mean_vs_cpu", json::Value(geoMean(vsCpu)));

@@ -122,8 +122,8 @@ rowOf(const char *name, const Pass &p)
     stats.set("request_cycles", json::Value(reqCycles));
 
     json::Value row = json::Value::object();
-    row.set("name", json::Value(std::string(name)));
-    row.set("suite", json::Value(std::string("serve")));
+    row.set("name", json::Value(name));
+    row.set("suite", json::Value("serve"));
     row.set("wall_ms", json::Value(p.res.wallMs));
     row.set("cycles", count(p.cycles));
     row.set("bytes_streamed", count(p.bytes));

@@ -100,7 +100,7 @@ class CacheModel
     /**
      * Flush a replayed partition's counter deltas in one batch.  The
      * counts are exact integers, so one batched add is bit-identical
-     * to per-access increments (the interpreter's); the port-occupancy
+     * to per-access increments (the reference model's); the port-occupancy
      * charge is one cycle per access, as in read()/write().
      */
     void noteBatch(double reads, double writes, double hits,

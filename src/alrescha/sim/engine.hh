@@ -1,8 +1,10 @@
 /**
  * @file
- * The Alrescha execution engine: walks a configuration table against a
- * locally-dense matrix stream, computing real results (verified against
- * the reference kernels) while accounting cycles the way the paper's
+ * The Alrescha execution engine: replays a configuration table against
+ * a locally-dense matrix stream -- SpMV, SpMM and SymGS through the
+ * table's compiled ExecSchedule, graph rounds through the matrix's
+ * occupancy plan -- computing real results (verified against the
+ * reference kernels) while accounting cycles the way the paper's
  * microarchitecture spends them:
  *
  * - GEMV-class data paths (GEMV, D-BFS, D-SSSP, D-PR) are fully
@@ -67,8 +69,8 @@ class Engine
     /**
      * Compile (or fetch from the cache) the execution schedule for the
      * programmed pair, so the first run after programming is already
-     * cheap.  Returns nullptr when the table kernel is not schedulable
-     * (graph rounds) or scheduling is disabled.
+     * cheap.  SpMV, SpMM and SymGS runs call it themselves.  Returns
+     * nullptr when the table kernel is not schedulable (graph rounds).
      */
     const ExecSchedule *prepareSchedule();
 
@@ -83,8 +85,8 @@ class Engine
     void invalidateSchedules();
 
     /** Schedule compilations since construction (cache diagnostics;
-     *  deliberately not a registered stat so stat dumps stay identical
-     *  to the interpreter's). */
+     *  deliberately not a registered stat, so a stat dump does not
+     *  depend on cache warmth). */
     uint64_t scheduleCompiles() const { return _scheduleCompiles; }
 
     /** Schedule-cache hits since construction: generation matches plus
@@ -285,24 +287,12 @@ class Engine
     void emitTimelineTail(uint64_t base, const RunTiming &t,
                           const char *run_name);
 
-    /** Cached-schedule lookup for the programmed pair (nullptr when the
-     *  kernel is not schedulable). */
-    const ExecSchedule *scheduleFor();
-
     /** Pool for the scheduled functional pass and timing walk (nullptr
      *  = run inline). */
     ThreadPool *enginePool();
 
     /** Stage @p x into the aligned, chunk-padded gather-plan buffer. */
     Value *stageOperand(const ExecSchedule &S, const DenseVector &x);
-
-    DenseVector runSpmvScheduled(const ExecSchedule &S,
-                                 const DenseVector &x, RunTiming *timing);
-    std::vector<DenseVector>
-    runSpmmScheduled(const ExecSchedule &S,
-                     const std::vector<DenseVector> &xs, RunTiming *timing);
-    void runSymgsScheduled(const ExecSchedule &S, const DenseVector &b,
-                           DenseVector &x, RunTiming *timing);
 
     /**
      * Timing of one scheduled SpMV (@p k == 0) or SpMM (@p k right-hand

@@ -1,9 +1,10 @@
 /**
  * @file
  * Cycle-accounting profiler: attributes every modeled cycle and byte to
- * a (data-path kind x block-row x cause) bucket, emitted by all three
- * engines (interpreter, scheduled scalar, SIMD replay) from their
- * timing walks.
+ * a (data-path kind x block-row x cause) bucket, emitted by the
+ * engine's timing walks (and by the per-entry reference model in
+ * tests/engine_reference.hh, which the walks must match bucket for
+ * bucket).
  *
  * The contract mirrors timeline.*: recording is disabled by default and
  * zero-cost when off (each run loads the enabled flag once, relaxed);

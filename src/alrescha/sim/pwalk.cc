@@ -307,7 +307,7 @@ gemvWalk(const Ctx &ctx, const ExecSchedule &S, size_t k,
 
     // In-order arithmetic scan: re-derive the run cycles from the
     // resolved per-access results, emitting profile charges (and, for
-    // SpMV, timeline events) in the interpreter's exact order, and
+    // SpMV, timeline events) in the reference model's exact order, and
     // assert the partition prefix sums at every boundary -- the
     // per-partition conservation oracle.
     const bool spansOn = timeline::enabled() && k == 0;
@@ -392,7 +392,7 @@ gemvWalk(const Ctx &ctx, const ExecSchedule &S, size_t k,
     ALR_ASSERT(running == prefix[nparts],
                "partitioned walk total diverged from combine");
     if (S.finalOutRow >= 0) {
-        // The interpreter's SpMV attributes the final writeback to the
+        // The reference SpMV attributes the final writeback to the
         // run's last data path; its SpMM hardcodes GEMV.
         DataPathType fdp = k == 0 ? S.lastDp : DataPathType::Gemv;
         for (size_t j = 0; j < reps; ++j)
@@ -476,7 +476,7 @@ symgsWalk(const Ctx &ctx, const ExecSchedule &S,
     ctx.memory.noteRandomAccesses(misses);
 
     // In-order scan: stream prefix + dependence-chain recurrence over
-    // the resolved access results, in the interpreter's exact
+    // the resolved access results, in the reference model's exact
     // profile/timeline emission order.  The link-stack depth is
     // simulated (one push per GEMV path, drained by each chain), never
     // touching the real stack the functional pass already drove.

@@ -4,7 +4,7 @@
  * run on the engine pool.
  *
  * Timing a run is a left-to-right scan of the schedule's paths (the
- * interpreter's in-order data-path stream) whose only *stateful*
+ * config table's in-order data-path stream) whose only *stateful*
  * ingredient is the RCU local cache: every other per-path charge
  * (reconfig, fill, stream, issue) is a schedule constant.  The cache
  * access trace is itself schedule-static -- which line each access
@@ -32,8 +32,8 @@
  *
  * The combination is an ordered reduction over fixed partitions, so
  * results, cycles, stat dumps, timelines, and profiles are bit-for-bit
- * identical to the interpreter's at any thread count -- including
- * one.
+ * identical at any thread count -- including one -- to the per-entry
+ * reference model in tests/engine_reference.hh.
  */
 
 #ifndef ALR_ALRESCHA_SIM_PWALK_HH

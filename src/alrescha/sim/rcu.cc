@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/trace.hh"
-
 namespace alr {
 
 Rcu::Rcu(const AccelParams &params, MemoryModel *memory)
@@ -36,8 +34,6 @@ Rcu::reconfigure(DataPathType dp, uint64_t *hidden_out)
         charged = uint64_t(_params.configCycles);
         ++_reconfigs;
     }
-    ALR_TRACE("rcu: reconfigure -> %s (%llu cycles)", toString(dp),
-              (unsigned long long)charged);
     _current = dp;
     return charged;
 }

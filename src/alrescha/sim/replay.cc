@@ -14,7 +14,7 @@
  * each one it compiled, and the dispatcher only references those.
  *
  * Bit-identity argument for the full-width gather-plan loads: the
- * interpreter gathers each operand chunk per lane with out-of-range
+ * reference model gathers each operand chunk per lane with out-of-range
  * lanes forced to 0.0, while these kernels load ω lanes straight from
  * the chunk-padded staging buffer.  The staged tail is 0.0 and every
  * value lane past the matrix edge is 0.0 too (encode zero-fills

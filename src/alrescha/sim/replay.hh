@@ -24,7 +24,7 @@
  *    runtime-ω generic arms instead.
  *
  * Every arm reduces in the canonical pairwise tree order (reduce.hh),
- * so the interpreter, the scheduled scalar path, and every dispatched
+ * so Fcu::vectorReduce, the scheduled scalar path, and every dispatched
  * ISA produce bit-identical doubles; which arm runs is purely a
  * wall-time choice.
  */

@@ -40,7 +40,7 @@
  * Full-width loads are safe and exact: operand chunks come from the
  * chunk-padded staging buffer (gather plan, tail zeroed) and value
  * records are ω-wide with zero-filled edge lanes, so pad products are
- * +0.0 and the tree over them matches the interpreter's (reduce.hh
+ * +0.0 and the tree over them matches Fcu::vectorReduce's (reduce.hh
  * signed-zero note).
  */
 

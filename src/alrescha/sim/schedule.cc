@@ -234,7 +234,7 @@ compileSchedule(const LocallyDenseMatrix &ld, const ConfigTable &table,
 
             // Chain steps in execution order (reversed for backward
             // sweeps); the diagonal lane is pre-zeroed like the
-            // interpreter's operand rotation.
+            // reference model's operand rotation.
             for (Index step = 0; step < omega; ++step) {
                 Index lr = backward ? omega - 1 - step : step;
                 Index r = r0 + lr;

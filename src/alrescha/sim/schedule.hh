@@ -22,15 +22,16 @@
  *    pure bandwidth function of the static byte count);
  *  - per-run totals of every accumulated stat (flops, useful bytes,
  *    FCU/RCU op counts): all are integer-valued doubles, so adding the
- *    precomputed total once is bit-identical to the interpreter's
+ *    precomputed total once is bit-identical to the reference model's
  *    per-element accumulation in any order.
  *
  * What is NOT precomputed (runtime state the timing model carries
  * across runs): local-cache hits and misses -- the scheduled timing
  * walk replays the exact same CacheModel access sequence as the
- * interpreter -- and the link-stack contents, which the scheduled
- * D-SymGS drives through the real LinkStack.  That is why cycle counts
- * and every registered stat match the interpreter bit for bit.
+ * per-entry table walk -- and the link-stack contents, which the
+ * scheduled D-SymGS drives through the real LinkStack.  That is why
+ * cycle counts and every registered stat match the per-entry reference
+ * model (tests/engine_reference.hh) bit for bit.
  */
 
 #ifndef ALR_ALRESCHA_SIM_SCHEDULE_HH
@@ -106,7 +107,7 @@ struct ExecSchedule
     std::vector<Index> rowUseful; ///< non-zero lanes (diagnostics)
     /** Gathered block values, omega per record, in lane order; the
      *  diagonal lane of D-SymGS chain records is pre-zeroed exactly as
-     *  the interpreter zeroes it.  64-byte-aligned so the ω-specialized
+     *  the reference model zeroes it.  64-byte-aligned so the ω-specialized
      *  replay kernels load whole records at full width (a record is one
      *  cache line at the paper's ω = 8). */
     AlignedValueVector values;
@@ -165,7 +166,7 @@ struct ExecSchedule
     /**
      * Length the operand vector must be staged to for the gather plan:
      * the chunk count times omega (operand entries past the matrix edge
-     * are staged as 0.0, matching the interpreter's zero-filled chunk
+     * are staged as 0.0, matching the reference model's zero-filled chunk
      * gather because the value lanes there are 0.0 too).
      */
     size_t paddedOperand = 0;

@@ -68,6 +68,9 @@ class Value
         : _kind(Kind::String), _string(std::move(s))
     {
     }
+    /** A string literal is a string: without this overload the
+     *  pointer-to-bool conversion would pick Value(bool). */
+    explicit Value(const char *s) : Value(std::string(s)) {}
 
     static Value array() { Value v; v._kind = Kind::Array; return v; }
     static Value object() { Value v; v._kind = Kind::Object; return v; }

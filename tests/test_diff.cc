@@ -2,7 +2,7 @@
  * @file
  * Diff-engine tests: the two hard invariants (self-diff is structurally
  * empty; bucket deltas conserve the total cycle delta exactly) across
- * kernels and engine modes, a real config perturbation (cache line
+ * kernels and replay modes, a real config perturbation (cache line
  * width) attributed to the cache buckets, bench-row alignment with
  * missing rows, metrics diffs, schema/kind refusal, and the --fail-on
  * rule grammar.
@@ -69,10 +69,9 @@ diffOk(const json::Value &oldDoc, const json::Value &newDoc)
 }
 
 AccelParams
-engineMode(bool use_schedule, bool simd)
+engineMode(bool simd)
 {
     AccelParams p;
-    p.useSchedule = use_schedule;
     p.simdMode = simd ? SimdMode::Auto : SimdMode::Scalar;
     return p;
 }
@@ -80,9 +79,8 @@ engineMode(bool use_schedule, bool simd)
 TEST(Diff, SelfDiffEmptyAcrossKernelsAndEngines)
 {
     const AccelParams modes[] = {
-        engineMode(false, false), // interpreter
-        engineMode(true, false),  // scheduled scalar
-        engineMode(true, true),   // SIMD replay
+        engineMode(false), // scalar replay
+        engineMode(true),  // SIMD replay
     };
     for (const char *kernel : {"spmv", "symgs"}) {
         for (const AccelParams &p : modes) {
@@ -99,12 +97,13 @@ TEST(Diff, SelfDiffEmptyAcrossKernelsAndEngines)
 
 TEST(Diff, EngineModesAreBitIdentical)
 {
-    // The interpreter, the scheduled scalar walk, and the SIMD replay
-    // are one timing model: their full sim documents must diff empty
-    // (the "version" provenance may differ, nothing else).
-    json::Value interp = simDoc("spmv", engineMode(false, false));
-    json::Value simd = simDoc("spmv", engineMode(true, true));
-    diff::Document d = diffOk(interp, simd);
+    // Scalar and SIMD replay are one timing model: their full sim
+    // documents must diff empty (the "version" provenance may differ,
+    // nothing else).  Equality with the per-entry reference model is
+    // held by ScheduleEquivalence and ProfileAgreement.
+    json::Value scalar = simDoc("spmv", engineMode(false));
+    json::Value simd = simDoc("spmv", engineMode(true));
+    diff::Document d = diffOk(scalar, simd);
     EXPECT_EQ(d.totalCycleDelta, 0);
     EXPECT_EQ(d.totalByteDelta, 0);
     EXPECT_TRUE(d.conserved);

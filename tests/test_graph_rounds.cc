@@ -2,7 +2,7 @@
  * @file
  * Graph-round differential tests: the engine's occupancy-plan walk for
  * D-PR, D-BFS, D-SSSP, and label propagation must reproduce the
- * per-element reference loops (graph_reference.hh) bit for bit --
+ * per-element reference loops (engine_reference.hh) bit for bit --
  * round values, RunTiming, the whole stat dump, and the profile
  * snapshot -- over randomized matrices, omegas (including non-powers
  * of two and a multi-word lane mask), row skipping on and off, full
@@ -23,11 +23,12 @@
 #include "alrescha/sim/engine.hh"
 #include "alrescha/sim/profile.hh"
 #include "common/random.hh"
-#include "graph_reference.hh"
+#include "engine_reference.hh"
 #include "sparse/coo.hh"
 
 using namespace alr;
-using testref::GraphReference;
+using testref::ReferenceEngine;
+using testref::statDump;
 
 namespace {
 
@@ -42,15 +43,6 @@ struct ProfileGuard
         profile::reset();
     }
 };
-
-template <class E>
-std::string
-statDump(E &e)
-{
-    std::ostringstream os;
-    e.statGroup().dump(os);
-    return os.str();
-}
 
 AccelParams
 makeParams(Index omega, bool skip)
@@ -200,7 +192,7 @@ class Pair
     }
 
   private:
-    GraphReference _ref;
+    ReferenceEngine _ref;
     Engine _eng;
 };
 

@@ -309,4 +309,15 @@ TEST(JsonValue, BuilderApi)
     EXPECT_DOUBLE_EQ(again.numberAt("n"), 5.0);
 }
 
+TEST(JsonValue, CharPointerIsAString)
+{
+    // A string literal must not decay to a pointer and then convert to
+    // bool: Value("text") is the string "text", not true.
+    EXPECT_EQ(json::dump(json::Value("text")), "\"text\"");
+    const char *label = "scientific";
+    json::Value v(label);
+    EXPECT_EQ(v.kind(), json::Kind::String);
+    EXPECT_EQ(v, json::Value(std::string("scientific")));
+}
+
 } // namespace

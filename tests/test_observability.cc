@@ -2,18 +2,15 @@
  * @file
  * Observability tests: Distribution::merge, the hierarchical JSON stats
  * export, the StatSnapshotter, the cycle-attributed timeline (Chrome
- * trace export), the reconfiguration-overlap fraction, and the trace
- * sink's long-line / concurrency behaviour.
+ * trace export), and the reconfiguration-overlap fraction.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <map>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "alrescha/accelerator.hh"
@@ -21,8 +18,8 @@
 #include "common/json.hh"
 #include "common/stats.hh"
 #include "common/timeline.hh"
-#include "common/trace.hh"
 #include "datasets/suites.hh"
+#include "engine_reference.hh"
 #include "sparse/generators.hh"
 
 using namespace alr;
@@ -265,20 +262,24 @@ TEST(ReconfigHidden, HandComputedFractionWithSlowSwitch)
     params.configCycles = 20;
     ASSERT_EQ(params.drainCycles(), 12);
 
-    for (bool useSchedule : {false, true}) {
-        params.useSchedule = useSchedule;
-        Accelerator acc(params);
-        acc.loadPde(gen::stencil2d(16, 16, 5));
-        DenseVector b(256, 1.0), x(256, 0.0);
-        acc.symgsSweep(b, x, GsSweep::Symmetric);
+    // The engine and the per-entry reference model (on the
+    // accelerator's tables) must both land on it.
+    Accelerator acc(params);
+    acc.loadPde(gen::stencil2d(16, 16, 5));
+    testref::ReferenceEngine ref(params);
+    DenseVector b(256, 1.0), x(256, 0.0), xr(256, 0.0);
+    acc.symgsSweep(b, x, GsSweep::Symmetric);
+    testref::symgsSweep(ref, acc, b, xr, GsSweep::Symmetric);
+    auto expectFraction = [](auto &e, const char *what) {
         // The sweep must actually switch paths for the test to bite.
-        ASSERT_GT(acc.engine().rcu().reconfigurations(), 1.0);
-        EXPECT_DOUBLE_EQ(acc.engine().rcu().reconfigHiddenFraction(), 0.6)
-            << "useSchedule=" << useSchedule;
+        ASSERT_GT(e.rcu().reconfigurations(), 1.0) << what;
+        EXPECT_DOUBLE_EQ(e.rcu().reconfigHiddenFraction(), 0.6) << what;
         EXPECT_DOUBLE_EQ(
-            acc.engine().statGroup().lookup("rcu.reconfig_hidden_frac"),
-            0.6);
-    }
+            e.statGroup().lookup("rcu.reconfig_hidden_frac"), 0.6)
+            << what;
+    };
+    expectFraction(acc.engine(), "engine");
+    expectFraction(ref, "reference");
 }
 
 TEST(ReconfigHidden, DefaultConfigFullyOverlaps)
@@ -561,56 +562,4 @@ TEST(Timeline, ParallelEngineWorkersRecordSafely)
         ++hostSpans;
     }
     EXPECT_GE(hostSpans, 4u); // at least one per run
-}
-
-// ---------------------------------------------------------------------
-// Trace sink: long lines and concurrent emitters
-
-TEST(TraceSink, LinesLongerThanTheStackBufferSurviveIntact)
-{
-    std::ostringstream sink;
-    trace::setSink(&sink);
-    std::string payload(5000, 'y');
-    payload[0] = 'A';
-    payload[4999] = 'Z';
-    trace::emit("long: %s", payload.c_str());
-    trace::setSink(nullptr);
-
-    std::string out = sink.str();
-    EXPECT_EQ(out, "long: " + payload + "\n");
-}
-
-TEST(TraceSink, ConcurrentEmittersProduceNoTornLines)
-{
-    std::ostringstream sink;
-    trace::setSink(&sink);
-    constexpr int kThreads = 4;
-    constexpr int kLines = 200;
-    std::vector<std::thread> workers;
-    for (int t = 0; t < kThreads; ++t) {
-        workers.emplace_back([t] {
-            for (int i = 0; i < kLines; ++i)
-                trace::emit("t%d line%d end", t, i);
-        });
-    }
-    for (auto &w : workers)
-        w.join();
-    trace::setSink(nullptr);
-
-    std::istringstream in(sink.str());
-    std::string line;
-    int count = 0;
-    std::vector<std::vector<bool>> seen(
-        kThreads, std::vector<bool>(kLines, false));
-    while (std::getline(in, line)) {
-        int t = -1, i = -1;
-        ASSERT_EQ(std::sscanf(line.c_str(), "t%d line%d end", &t, &i), 2)
-            << "torn line: '" << line << "'";
-        ASSERT_TRUE(t >= 0 && t < kThreads && i >= 0 && i < kLines)
-            << line;
-        EXPECT_FALSE(seen[size_t(t)][size_t(i)]) << line;
-        seen[size_t(t)][size_t(i)] = true;
-        ++count;
-    }
-    EXPECT_EQ(count, kThreads * kLines);
 }

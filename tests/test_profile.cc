@@ -3,11 +3,11 @@
  * Cycle-accounting profiler tests: the conservation invariant
  * (attributed cycles sum exactly to the engine's modeled cycles,
  * attributed bytes to the memory model's total traffic), bucket
- * agreement across the interpreter / scheduled scalar / SIMD replay
- * engines, a hand-computed attribution on a two-block-row matrix, the
- * D-SymGS critical-path extractor, the export formats, and the
- * zero-perturbation contract (recorder off => results, cycles, and
- * stat dumps bit-identical).
+ * agreement across the per-entry reference model (engine_reference.hh)
+ * and the scheduled scalar / SIMD replay engines, a hand-computed
+ * attribution on a two-block-row matrix, the D-SymGS critical-path
+ * extractor, the export formats, and the zero-perturbation contract
+ * (recorder off => results, cycles, and stat dumps bit-identical).
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +21,7 @@
 #include "alrescha/accelerator.hh"
 #include "alrescha/sim/profile.hh"
 #include "common/random.hh"
+#include "engine_reference.hh"
 #include "sparse/coo.hh"
 #include "sparse/generators.hh"
 
@@ -43,27 +44,33 @@ struct ProfileGuard
 };
 
 AccelParams
-makeParams(Index omega, bool use_schedule, bool simd)
+makeParams(Index omega, bool simd)
 {
     AccelParams p;
     p.omega = omega;
-    p.useSchedule = use_schedule;
     p.simdMode = simd ? SimdMode::Auto : SimdMode::Scalar;
     return p;
 }
 
 /** Run one kernel under the recorder and return (snapshot, cycles,
- *  memory bytes).  The recorder is reset before the run. */
+ *  memory bytes).  The recorder is reset before the run.  With
+ *  @p reference, SpMV and SymGS run on the reference model over the
+ *  accelerator's encoded matrix and tables instead of its engine. */
 profile::Snapshot
 runProfiled(const CsrMatrix &a, const std::string &kernel,
             const AccelParams &params, uint64_t *cycles_out = nullptr,
-            double *bytes_out = nullptr)
+            double *bytes_out = nullptr, bool reference = false)
 {
     profile::reset();
     Accelerator acc(params);
+    testref::ReferenceEngine ref(params);
     if (kernel == "spmv") {
         acc.loadSpmvOnly(a);
-        acc.spmv(DenseVector(a.cols(), 1.0));
+        DenseVector x(a.cols(), 1.0);
+        if (reference)
+            testref::spmv(ref, acc, x);
+        else
+            acc.spmv(x);
     } else if (kernel == "pagerank" || kernel == "bfs" ||
                kernel == "sssp" || kernel == "cc") {
         acc.loadGraph(a);
@@ -78,12 +85,17 @@ runProfiled(const CsrMatrix &a, const std::string &kernel,
     } else {
         acc.loadPde(a);
         DenseVector b(a.rows(), 1.0), x(a.rows(), 0.0);
-        acc.symgsSweep(b, x, GsSweep::Symmetric);
+        if (reference)
+            testref::symgsSweep(ref, acc, b, x, GsSweep::Symmetric);
+        else
+            acc.symgsSweep(b, x, GsSweep::Symmetric);
     }
     if (cycles_out)
-        *cycles_out = acc.engine().totalCycles();
+        *cycles_out =
+            reference ? ref.totalCycles() : acc.engine().totalCycles();
     if (bytes_out)
-        *bytes_out = acc.engine().memory().totalBytes();
+        *bytes_out = reference ? ref.memory().totalBytes()
+                               : acc.engine().memory().totalBytes();
     return profile::snapshot();
 }
 
@@ -113,7 +125,8 @@ expectSameBuckets(const profile::Snapshot &a, const profile::Snapshot &b,
 
 // ---------------------------------------------------------------------
 // Conservation: buckets sum exactly to the engine's cycles and the
-// memory model's bytes, for every kernel / engine / omega combination.
+// memory model's bytes, for every kernel / replay mode / omega
+// combination, and for the reference model.
 
 TEST(ProfileConservation, ExactAcrossKernelsEnginesAndOmegas)
 {
@@ -129,37 +142,35 @@ TEST(ProfileConservation, ExactAcrossKernelsEnginesAndOmegas)
         const bool graph = std::string(kernel) != "spmv" &&
                            std::string(kernel) != "symgs";
         for (Index omega : {Index(4), Index(8)}) {
-            for (bool sched : {false, true}) {
-                for (bool simd : {false, true}) {
-                    if (!sched && simd)
-                        continue; // simd only applies when scheduled
-                    if (graph && (sched || simd))
-                        continue; // graph rounds have one path
-                    uint64_t cycles = 0;
-                    double bytes = 0.0;
-                    profile::Snapshot snap =
-                        runProfiled(graph ? g : a, kernel,
-                                    makeParams(omega, sched, simd),
-                                    &cycles, &bytes);
-                    std::string what =
-                        std::string(kernel) + " omega " +
-                        std::to_string(omega) +
-                        (graph ? " graph rounds"
-                               : sched ? (simd ? " simd" : " scheduled")
-                                       : " interpreter");
-                    EXPECT_EQ(snap.attributedCycles, cycles) << what;
-                    EXPECT_EQ(double(snap.attributedBytes), bytes)
-                        << what;
-                    EXPECT_GT(snap.buckets.size(), 0u) << what;
-                }
+            // 0: reference model, 1: scalar replay, 2: SIMD replay.
+            for (int mode = 0; mode < 3; ++mode) {
+                if (graph && mode != 1)
+                    continue; // graph rounds have one path
+                const bool reference = mode == 0;
+                const bool simd = mode == 2;
+                uint64_t cycles = 0;
+                double bytes = 0.0;
+                profile::Snapshot snap = runProfiled(
+                    graph ? g : a, kernel, makeParams(omega, simd),
+                    &cycles, &bytes, reference);
+                std::string what =
+                    std::string(kernel) + " omega " +
+                    std::to_string(omega) +
+                    (graph       ? " graph rounds"
+                     : reference ? " reference"
+                     : simd      ? " simd"
+                                 : " scheduled");
+                EXPECT_EQ(snap.attributedCycles, cycles) << what;
+                EXPECT_EQ(double(snap.attributedBytes), bytes) << what;
+                EXPECT_GT(snap.buckets.size(), 0u) << what;
             }
         }
     }
 }
 
 // ---------------------------------------------------------------------
-// Engine agreement: the interpreter, the scheduled scalar walk, and the
-// SIMD replay attribute every bucket identically.
+// Engine agreement: the reference model, the scheduled scalar walk, and
+// the SIMD replay attribute every bucket identically.
 
 TEST(ProfileAgreement, InterpreterScheduledSimdIdentical)
 {
@@ -169,15 +180,15 @@ TEST(ProfileAgreement, InterpreterScheduledSimdIdentical)
 
     for (const char *kernel : {"spmv", "symgs"}) {
         for (Index omega : {Index(4), Index(8)}) {
-            AccelParams interp = makeParams(omega, false, false);
-            AccelParams sched = makeParams(omega, true, false);
-            AccelParams simd = makeParams(omega, true, true);
-            profile::Snapshot si = runProfiled(a, kernel, interp);
+            AccelParams sched = makeParams(omega, false);
+            AccelParams simd = makeParams(omega, true);
+            profile::Snapshot si =
+                runProfiled(a, kernel, sched, nullptr, nullptr, true);
             profile::Snapshot ss = runProfiled(a, kernel, sched);
             profile::Snapshot sv = runProfiled(a, kernel, simd);
             std::string what = std::string(kernel) + " omega " +
                                std::to_string(omega);
-            expectSameBuckets(si, ss, what + " interp-vs-scheduled");
+            expectSameBuckets(si, ss, what + " reference-vs-scheduled");
             expectSameBuckets(ss, sv, what + " scalar-vs-simd");
         }
     }
@@ -205,12 +216,12 @@ TEST(ProfileHandComputed, DenseTwoBlockRowSpmvAtOmega2)
             coo.add(r, c, 1.0 + double(r) * 4.0 + double(c));
     CsrMatrix a = CsrMatrix::fromCoo(coo);
 
-    for (bool sched : {false, true}) {
+    for (bool reference : {true, false}) {
         uint64_t cycles = 0;
         double bytes = 0.0;
         profile::Snapshot snap = runProfiled(
-            a, "spmv", makeParams(2, sched, false), &cycles, &bytes);
-        const char *what = sched ? "scheduled" : "interpreter";
+            a, "spmv", makeParams(2, false), &cycles, &bytes, reference);
+        const char *what = reference ? "reference" : "scheduled";
 
         EXPECT_EQ(cycles, 30u) << what;
         EXPECT_EQ(snap.attributedCycles, 30u) << what;
@@ -264,7 +275,7 @@ TEST(ProfileCriticalPath, BlockDiagonalSweepIsDependenceBound)
 
     uint64_t cycles = 0;
     profile::Snapshot snap =
-        runProfiled(a, "symgs", makeParams(8, true, true), &cycles);
+        runProfiled(a, "symgs", makeParams(8, true), &cycles);
 
     ASSERT_FALSE(snap.critical.empty());
     uint64_t chains = 0, wait_rows = 0;
@@ -301,8 +312,8 @@ TEST(ProfileZeroPerturbation, RecorderOffIsBitIdentical)
     Rng rng(17);
     CsrMatrix a = gen::blockStructured(96, 8, 4, 0.7, rng);
 
-    for (bool sched : {false, true}) {
-        AccelParams params = makeParams(8, sched, true);
+    for (bool simd : {false, true}) {
+        AccelParams params = makeParams(8, simd);
 
         profile::setEnabled(false);
         profile::reset();
@@ -346,7 +357,7 @@ TEST(ProfileExport, JsonCsvAndFoldedAreConsistent)
     CsrMatrix a = gen::blockStructured(64, 8, 3, 0.8, rng);
     uint64_t cycles = 0;
     profile::Snapshot snap =
-        runProfiled(a, "symgs", makeParams(8, true, true), &cycles);
+        runProfiled(a, "symgs", makeParams(8, true), &cycles);
 
     std::ostringstream js;
     profile::exportJson(js, {"symgs", 8, cycles, ""});

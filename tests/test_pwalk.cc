@@ -2,7 +2,8 @@
  * @file
  * Partitioned timing walk tests: the scheduled engine (functional
  * replay plus partitioned timing walk) must be bit-identical to the
- * interpreter -- results, cycle counts, full stat dumps, profile
+ * per-entry reference model (engine_reference.hh) -- results, cycle
+ * counts, full stat dumps, profile
  * buckets, and modeled timeline events -- at every pool size, inline
  * (one thread) and on the process-wide pool (engineThreads = 0),
  * because partition boundaries are schedule constants and the combine
@@ -22,37 +23,21 @@
 #include "alrescha/sim/schedule.hh"
 #include "common/random.hh"
 #include "common/timeline.hh"
+#include "engine_reference.hh"
 #include "sparse/generators.hh"
 
 using namespace alr;
+using testref::ReferenceEngine;
+using testref::statDump;
 
 namespace {
-
-/** The full serialized stat listing of an engine. */
-std::string
-statDump(Engine &e)
-{
-    std::ostringstream os;
-    e.statGroup().dump(os);
-    return os.str();
-}
 
 AccelParams
 makeParams(Index omega, int threads)
 {
     AccelParams p;
     p.omega = omega;
-    p.useSchedule = true;
     p.engineThreads = threads;
-    return p;
-}
-
-/** The reference engine: the interpreter, inline. */
-AccelParams
-refParams(Index omega)
-{
-    AccelParams p = makeParams(omega, 1);
-    p.useSchedule = false;
     return p;
 }
 
@@ -160,8 +145,8 @@ class PwalkEquivalence : public ::testing::TestWithParam<Case>
 
 // ---------------------------------------------------------------------
 // Bit-identity sweep: the scheduled engine inline, at pool sizes
-// 2/4/8, and on the process-wide pool must reproduce the interpreter
-// exactly -- results, all three cycle counters, and the entire
+// 2/4/8, and on the process-wide pool must reproduce the reference
+// model exactly -- results, all three cycle counters, and the entire
 // serialized stat dump -- with cache and switch state carried across
 // repeated runs.
 
@@ -174,7 +159,7 @@ TEST_P(PwalkEquivalence, SpmvBitIdentical)
         LocallyDenseMatrix::encode(a, c.omega, LdLayout::Plain);
     ConfigTable table = ConfigTable::convert(KernelType::SpMV, ld);
 
-    Engine ser(refParams(c.omega));
+    ReferenceEngine ser(makeParams(c.omega, 1));
     Engine par(makeParams(c.omega, c.threads));
     ser.program(&ld, &table);
     par.program(&ld, &table);
@@ -202,7 +187,7 @@ TEST_P(PwalkEquivalence, SpmmBitIdentical)
         LocallyDenseMatrix::encode(a, c.omega, LdLayout::Plain);
     ConfigTable table = ConfigTable::convert(KernelType::SpMV, ld);
 
-    Engine ser(refParams(c.omega));
+    ReferenceEngine ser(makeParams(c.omega, 1));
     Engine par(makeParams(c.omega, c.threads));
     ser.program(&ld, &table);
     par.program(&ld, &table);
@@ -234,7 +219,7 @@ TEST_P(PwalkEquivalence, SymgsBitIdentical)
     ConfigTable bwd = ConfigTable::convert(KernelType::SymGS, ld, true,
                                            GsSweep::Backward);
 
-    Engine ser(refParams(c.omega));
+    ReferenceEngine ser(makeParams(c.omega, 1));
     Engine par(makeParams(c.omega, c.threads));
 
     DenseVector b(a.rows(), 1.0);
@@ -256,7 +241,7 @@ TEST_P(PwalkEquivalence, MixedKernelsShareState)
 {
     // Interleave SpMV and SymGS through one engine pair: the partition
     // combine must leave cache, link-stack, and switch state exactly
-    // where the interpreter does, or the next kernel diverges.
+    // where the reference model does, or the next kernel diverges.
     const Case c = GetParam();
     CsrMatrix a = gen::stencil2d(9, 9);
     LocallyDenseMatrix ld =
@@ -265,7 +250,7 @@ TEST_P(PwalkEquivalence, MixedKernelsShareState)
     ConfigTable fwd = ConfigTable::convert(KernelType::SymGS, ld, true,
                                            GsSweep::Forward);
 
-    Engine ser(refParams(c.omega));
+    ReferenceEngine ser(makeParams(c.omega, 1));
     Engine par(makeParams(c.omega, c.threads));
 
     DenseVector b(a.rows(), 0.5);
@@ -291,7 +276,7 @@ TEST_P(PwalkEquivalence, MixedKernelsShareState)
 
 // ---------------------------------------------------------------------
 // Profiler under partitioning: every bucket identical to the
-// interpreter's, and the conservation invariant (attributed cycles == engine
+// reference model's, and the conservation invariant (attributed cycles == engine
 // cycles, attributed bytes == memory traffic) holds because the combine
 // re-emits attribution from one in-order scan.
 
@@ -302,30 +287,40 @@ TEST_P(PwalkEquivalence, ProfileBucketsIdenticalAndConserved)
     Rng rng(c.seed + 400);
     CsrMatrix a = gen::blockStructured(96, 8, 4, 0.7, rng);
 
-    auto runProfiled = [&](const AccelParams &params, const char *kernel,
+    // The reference side runs on the accelerator's encoded matrix and
+    // tables, exactly as the accelerator programs its own engine.
+    auto runProfiled = [&](bool reference, const char *kernel,
                            uint64_t *cycles, double *bytes) {
         profile::reset();
+        AccelParams params = makeParams(c.omega, reference ? 1 : c.threads);
         Accelerator acc(params);
+        ReferenceEngine ref(params);
         if (std::strcmp(kernel, "spmv") == 0) {
             acc.loadSpmvOnly(a);
-            acc.spmv(DenseVector(a.cols(), 1.0));
+            DenseVector x(a.cols(), 1.0);
+            if (reference)
+                testref::spmv(ref, acc, x);
+            else
+                acc.spmv(x);
         } else {
             acc.loadPde(a);
             DenseVector b(a.rows(), 1.0), x(a.rows(), 0.0);
-            acc.symgsSweep(b, x, GsSweep::Symmetric);
+            if (reference)
+                testref::symgsSweep(ref, acc, b, x, GsSweep::Symmetric);
+            else
+                acc.symgsSweep(b, x, GsSweep::Symmetric);
         }
-        *cycles = acc.engine().totalCycles();
-        *bytes = acc.engine().memory().totalBytes();
+        *cycles = reference ? ref.totalCycles() : acc.engine().totalCycles();
+        *bytes = reference ? ref.memory().totalBytes()
+                           : acc.engine().memory().totalBytes();
         return profile::snapshot();
     };
 
     for (const char *kernel : {"spmv", "symgs"}) {
         uint64_t cs = 0, cp = 0;
         double bs = 0.0, bp = 0.0;
-        profile::Snapshot ss =
-            runProfiled(refParams(c.omega), kernel, &cs, &bs);
-        profile::Snapshot sp =
-            runProfiled(makeParams(c.omega, c.threads), kernel, &cp, &bp);
+        profile::Snapshot ss = runProfiled(true, kernel, &cs, &bs);
+        profile::Snapshot sp = runProfiled(false, kernel, &cp, &bp);
         std::string what = std::string(kernel) + " omega " +
                            std::to_string(c.omega) + " threads " +
                            std::to_string(c.threads);
@@ -340,7 +335,7 @@ TEST_P(PwalkEquivalence, ProfileBucketsIdenticalAndConserved)
 // ---------------------------------------------------------------------
 // Timeline under partitioning: the modeled event stream (spans and
 // counters on the modeled pid) is identical in content AND order, since
-// the combine's in-order scan emits it exactly as the interpreter
+// the combine's in-order scan emits it exactly as the reference model
 // does.  Host-pid spans are excluded: wall-clock tracks legitimately
 // differ across engines and pool sizes.
 
@@ -355,9 +350,8 @@ TEST_P(PwalkEquivalence, ModeledTimelineIdentical)
     ConfigTable fwd = ConfigTable::convert(KernelType::SymGS, ld, true,
                                            GsSweep::Forward);
 
-    auto capture = [&](const AccelParams &params) {
+    auto capture = [&](auto &e) {
         TimelineGuard guard;
-        Engine e(params);
         DenseVector b(a.rows(), 0.5);
         DenseVector x(a.rows(), 0.0);
         for (int run = 0; run < 2; ++run) {
@@ -369,9 +363,10 @@ TEST_P(PwalkEquivalence, ModeledTimelineIdentical)
         return modeledEvents();
     };
 
-    std::vector<timeline::Event> ser = capture(refParams(c.omega));
-    std::vector<timeline::Event> par =
-        capture(makeParams(c.omega, c.threads));
+    ReferenceEngine ref(makeParams(c.omega, 1));
+    Engine eng(makeParams(c.omega, c.threads));
+    std::vector<timeline::Event> ser = capture(ref);
+    std::vector<timeline::Event> par = capture(eng);
     ASSERT_GT(ser.size(), 0u);
     expectSameModeledEvents(ser, par,
                             "threads " + std::to_string(c.threads));

@@ -1,12 +1,13 @@
 /**
  * @file
- * Schedule-compiler equivalence properties (ISSUE 2): for every
- * schedulable kernel the compiled ExecSchedule must reproduce the
- * interpreter bit for bit -- results, cycle counts, and the entire
- * serialized stat dump -- across omegas, matrices, repeated runs
- * (cross-run cache and switch state), and functional-pass thread
- * counts.  Plus unit tests for the payload-position LUT and the
- * schedule cache (reuse, invalidation, eviction).
+ * Schedule-compiler equivalence properties: for every schedulable
+ * kernel the compiled ExecSchedule must reproduce the per-entry
+ * reference model (engine_reference.hh) bit for bit -- results, cycle
+ * counts, and the entire serialized stat dump -- across omegas,
+ * matrices, repeated runs (cross-run cache and switch state), and
+ * functional-pass thread counts.  Plus unit tests for the
+ * payload-position LUT and the schedule cache (reuse, invalidation,
+ * eviction).
  */
 
 #include <gtest/gtest.h>
@@ -18,28 +19,21 @@
 #include "alrescha/sim/replay.hh"
 #include "alrescha/sim/schedule.hh"
 #include "common/random.hh"
+#include "engine_reference.hh"
 #include "sparse/coo.hh"
 #include "sparse/generators.hh"
 
 using namespace alr;
+using testref::ReferenceEngine;
+using testref::statDump;
 
 namespace {
 
-/** The full serialized stat listing of an engine. */
-std::string
-statDump(Engine &e)
-{
-    std::ostringstream os;
-    e.statGroup().dump(os);
-    return os.str();
-}
-
 AccelParams
-makeParams(Index omega, bool use_schedule, int threads, bool simd = true)
+makeParams(Index omega, int threads, bool simd = true)
 {
     AccelParams p;
     p.omega = omega;
-    p.useSchedule = use_schedule;
     p.engineThreads = threads;
     p.simdMode = simd ? SimdMode::Auto : SimdMode::Scalar;
     return p;
@@ -88,8 +82,8 @@ TEST_P(ScheduleEquivalence, SpmvBitIdentical)
         LocallyDenseMatrix::encode(a, c.omega, LdLayout::Plain);
     ConfigTable table = ConfigTable::convert(KernelType::SpMV, ld);
 
-    Engine ref(makeParams(c.omega, false, 1));
-    Engine sch(makeParams(c.omega, true, c.threads));
+    ReferenceEngine ref(makeParams(c.omega, 1));
+    Engine sch(makeParams(c.omega, c.threads));
     ref.program(&ld, &table);
     sch.program(&ld, &table);
 
@@ -117,8 +111,8 @@ TEST_P(ScheduleEquivalence, SpmmBitIdentical)
         LocallyDenseMatrix::encode(a, c.omega, LdLayout::Plain);
     ConfigTable table = ConfigTable::convert(KernelType::SpMV, ld);
 
-    Engine ref(makeParams(c.omega, false, 1));
-    Engine sch(makeParams(c.omega, true, c.threads));
+    ReferenceEngine ref(makeParams(c.omega, 1));
+    Engine sch(makeParams(c.omega, c.threads));
     ref.program(&ld, &table);
     sch.program(&ld, &table);
 
@@ -149,8 +143,8 @@ TEST_P(ScheduleEquivalence, SymgsBitIdentical)
     ConfigTable bwd = ConfigTable::convert(KernelType::SymGS, ld, true,
                                            GsSweep::Backward);
 
-    Engine ref(makeParams(c.omega, false, 1));
-    Engine sch(makeParams(c.omega, true, c.threads));
+    ReferenceEngine ref(makeParams(c.omega, 1));
+    Engine sch(makeParams(c.omega, c.threads));
 
     DenseVector b(a.rows(), 1.0);
     DenseVector xr(a.rows(), 0.0), xs(a.rows(), 0.0);
@@ -173,7 +167,7 @@ TEST_P(ScheduleEquivalence, MixedKernelsShareState)
 {
     // Interleave SpMV-layout and SymGS runs through one engine pair:
     // the schedule path must leave cache, link-stack, and switch state
-    // exactly where the interpreter would.
+    // exactly where the reference model does.
     const Case c = GetParam();
     Rng rng(c.seed + 300);
     CsrMatrix a = gen::stencil2d(9, 9);
@@ -183,8 +177,8 @@ TEST_P(ScheduleEquivalence, MixedKernelsShareState)
     ConfigTable fwd = ConfigTable::convert(KernelType::SymGS, ld, true,
                                            GsSweep::Forward);
 
-    Engine ref(makeParams(c.omega, false, 1));
-    Engine sch(makeParams(c.omega, true, c.threads));
+    ReferenceEngine ref(makeParams(c.omega, 1));
+    Engine sch(makeParams(c.omega, c.threads));
 
     DenseVector b(a.rows(), 0.5);
     DenseVector xr(a.rows(), 0.0), xs(a.rows(), 0.0);
@@ -218,24 +212,23 @@ TEST(ScheduleEquivalence, PcgFullSolveBitIdentical)
     Rng rng(42);
     CsrMatrix a = gen::stencil2d(12, 12);
 
-    AccelParams pr = makeParams(8, false, 1);
-    AccelParams ps = makeParams(8, true, 1);
-    Accelerator ref(pr), sch(ps);
-    ref.loadPde(a);
+    AccelParams p = makeParams(8, 1);
+    Accelerator sch(p);
     sch.loadPde(a);
+    ReferenceEngine ref(p);
 
     DenseVector b(a.rows(), 1.0);
     PcgOptions opts;
     opts.maxIterations = 25;
-    PcgResult r = ref.pcg(b, opts);
+    PcgResult r = testref::pcg(ref, sch, b, opts);
     PcgResult s = sch.pcg(b, opts);
 
     EXPECT_EQ(r.x, s.x);
     EXPECT_EQ(r.iterations, s.iterations);
     EXPECT_EQ(r.relResidual, s.relResidual);
     EXPECT_EQ(r.history, s.history);
-    EXPECT_EQ(ref.report().cycles, sch.report().cycles);
-    EXPECT_EQ(statDump(ref.engine()), statDump(sch.engine()));
+    EXPECT_EQ(ref.totalCycles(), sch.report().cycles);
+    EXPECT_EQ(statDump(ref), statDump(sch.engine()));
 }
 
 TEST(PayloadLut, MatchesPayloadPosition)
@@ -299,7 +292,7 @@ TEST(ScheduleCache, CompiledOnceAcrossRuns)
         LocallyDenseMatrix::encode(a, 8, LdLayout::Plain);
     ConfigTable table = ConfigTable::convert(KernelType::SpMV, ld);
 
-    Engine e(makeParams(8, true, 1));
+    Engine e(makeParams(8, 1));
     e.program(&ld, &table);
     EXPECT_EQ(e.scheduleCompiles(), 0u);
     DenseVector x(a.cols(), 1.0);
@@ -324,7 +317,7 @@ TEST(ScheduleCache, DistinctTablesGetDistinctSchedules)
     ConfigTable bwd = ConfigTable::convert(KernelType::SymGS, ld, true,
                                            GsSweep::Backward);
 
-    Engine e(makeParams(8, true, 1));
+    Engine e(makeParams(8, 1));
     DenseVector b(a.rows(), 1.0), x(a.rows(), 0.0);
     for (int i = 0; i < 3; ++i) {
         e.program(&ld, &fwd);
@@ -341,7 +334,7 @@ TEST(ScheduleCache, InvalidatedOnReload)
 {
     Rng rng(9);
     CsrMatrix a = gen::stencil2d(8, 8);
-    Accelerator acc(makeParams(8, true, 1));
+    Accelerator acc(makeParams(8, 1));
     acc.loadPde(a);
     DenseVector x(a.cols(), 1.0);
     acc.spmv(x);
@@ -367,7 +360,7 @@ TEST(ScheduleCache, EvictsBeyondCapacity)
     for (int i = 0; i < 10; ++i)
         tables.push_back(ConfigTable::convert(KernelType::SpMV, ld));
 
-    Engine e(makeParams(8, true, 1));
+    Engine e(makeParams(8, 1));
     DenseVector x(a.cols(), 1.0);
     for (auto &t : tables) {
         e.program(&ld, &t);
@@ -405,7 +398,7 @@ TEST(ScheduleCache, ReassignedObjectsDoNotAliasStaleSchedules)
         LocallyDenseMatrix::encode(a, 8, LdLayout::Plain);
     ConfigTable table = ConfigTable::convert(KernelType::SpMV, ld);
 
-    Engine e(makeParams(8, true, 1));
+    Engine e(makeParams(8, 1));
     e.program(&ld, &table);
     DenseVector x(a.cols(), 1.0);
     DenseVector y1 = e.runSpmv(x);
@@ -420,7 +413,7 @@ TEST(ScheduleCache, ReassignedObjectsDoNotAliasStaleSchedules)
         << "stale schedule served for a rebuilt matrix/table pair";
 
     // The result must be the doubled matrix's, not the cached one's.
-    Engine fresh(makeParams(8, true, 1));
+    Engine fresh(makeParams(8, 1));
     LocallyDenseMatrix ld2 =
         LocallyDenseMatrix::encode(a2, 8, LdLayout::Plain);
     ConfigTable table2 = ConfigTable::convert(KernelType::SpMV, ld2);
@@ -431,33 +424,33 @@ TEST(ScheduleCache, ReassignedObjectsDoNotAliasStaleSchedules)
 }
 
 // ---------------------------------------------------------------------
-// SIMD replay equivalence (ISSUE 3): the ω-specialized SIMD kernels,
-// the scheduled scalar kernels, and the interpreter must agree bit for
+// SIMD replay equivalence: the ω-specialized SIMD kernels, the
+// scheduled scalar kernels, and the reference model must agree bit for
 // bit -- results, cycles, and the whole stat dump.  On portable builds
 // SimdMode::Auto resolves to the scalar table, so these tests still
-// pin scalar/scalar/interpreter equality there.
+// pin scalar/scalar/reference equality there.
 // ---------------------------------------------------------------------
 
 namespace {
 
-/** Three engines programmed alike: interpreter, scheduled scalar,
- *  scheduled SIMD. */
+/** Three engines programmed alike: the reference model, scheduled
+ *  scalar, scheduled SIMD. */
 struct EngineTriple
 {
-    Engine interp;
+    ReferenceEngine ref;
     Engine scalar;
     Engine simd;
 
     EngineTriple(Index omega, int threads)
-        : interp(makeParams(omega, false, 1)),
-          scalar(makeParams(omega, true, threads, false)),
-          simd(makeParams(omega, true, threads, true))
+        : ref(makeParams(omega, 1)),
+          scalar(makeParams(omega, threads, false)),
+          simd(makeParams(omega, threads, true))
     {
     }
 
     void program(const LocallyDenseMatrix *ld, const ConfigTable *t)
     {
-        interp.program(ld, t);
+        ref.program(ld, t);
         scalar.program(ld, t);
         simd.program(ld, t);
     }
@@ -489,7 +482,7 @@ TEST_P(SimdReplayEquivalence, SpmvRectangularNonMultipleOfOmega)
 
     for (int run = 0; run < 3; ++run) {
         RunTiming ti, tc, tv;
-        DenseVector yi = e.interp.runSpmv(x, &ti);
+        DenseVector yi = e.ref.runSpmv(x, &ti);
         DenseVector yc = e.scalar.runSpmv(x, &tc);
         DenseVector yv = e.simd.runSpmv(x, &tv);
         ASSERT_EQ(yi, yc) << "run " << run;
@@ -497,8 +490,8 @@ TEST_P(SimdReplayEquivalence, SpmvRectangularNonMultipleOfOmega)
         expectTimingEq(ti, tc, "scalar spmv timing");
         expectTimingEq(ti, tv, "simd spmv timing");
     }
-    EXPECT_EQ(statDump(e.interp), statDump(e.scalar));
-    EXPECT_EQ(statDump(e.interp), statDump(e.simd));
+    EXPECT_EQ(statDump(e.ref), statDump(e.scalar));
+    EXPECT_EQ(statDump(e.ref), statDump(e.simd));
 }
 
 TEST_P(SimdReplayEquivalence, SpmmRegisterBlocked)
@@ -522,7 +515,7 @@ TEST_P(SimdReplayEquivalence, SpmmRegisterBlocked)
 
     for (int run = 0; run < 2; ++run) {
         RunTiming ti, tc, tv;
-        auto yi = e.interp.runSpmm(xs, &ti);
+        auto yi = e.ref.runSpmm(xs, &ti);
         auto yc = e.scalar.runSpmm(xs, &tc);
         auto yv = e.simd.runSpmm(xs, &tv);
         ASSERT_EQ(yi, yc) << "run " << run;
@@ -530,8 +523,8 @@ TEST_P(SimdReplayEquivalence, SpmmRegisterBlocked)
         expectTimingEq(ti, tc, "scalar spmm timing");
         expectTimingEq(ti, tv, "simd spmm timing");
     }
-    EXPECT_EQ(statDump(e.interp), statDump(e.scalar));
-    EXPECT_EQ(statDump(e.interp), statDump(e.simd));
+    EXPECT_EQ(statDump(e.ref), statDump(e.scalar));
+    EXPECT_EQ(statDump(e.ref), statDump(e.simd));
 }
 
 TEST_P(SimdReplayEquivalence, SymgsSweepsBothDirections)
@@ -554,7 +547,7 @@ TEST_P(SimdReplayEquivalence, SymgsSweepsBothDirections)
         const ConfigTable &t = run % 2 ? bwd : fwd;
         e.program(&ld, &t);
         RunTiming ti, tc, tv;
-        e.interp.runSymgsSweep(b, xi, &ti);
+        e.ref.runSymgsSweep(b, xi, &ti);
         e.scalar.runSymgsSweep(b, xc, &tc);
         e.simd.runSymgsSweep(b, xv, &tv);
         ASSERT_EQ(xi, xc) << "sweep " << run;
@@ -562,8 +555,8 @@ TEST_P(SimdReplayEquivalence, SymgsSweepsBothDirections)
         expectTimingEq(ti, tc, "scalar symgs timing");
         expectTimingEq(ti, tv, "simd symgs timing");
     }
-    EXPECT_EQ(statDump(e.interp), statDump(e.scalar));
-    EXPECT_EQ(statDump(e.interp), statDump(e.simd));
+    EXPECT_EQ(statDump(e.ref), statDump(e.scalar));
+    EXPECT_EQ(statDump(e.ref), statDump(e.simd));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -583,14 +576,14 @@ TEST(SimdReplay, EmptyMatrix)
     EngineTriple e(8, 2);
     e.program(&ld, &table);
     DenseVector x(16, 3.0);
-    DenseVector yi = e.interp.runSpmv(x);
+    DenseVector yi = e.ref.runSpmv(x);
     DenseVector yv = e.simd.runSpmv(x);
     EXPECT_EQ(yi, yv);
     EXPECT_EQ(yv, DenseVector(16, 0.0));
 
     std::vector<DenseVector> xs(2, x);
-    EXPECT_EQ(e.interp.runSpmm(xs), e.simd.runSpmm(xs));
-    EXPECT_EQ(statDump(e.interp), statDump(e.simd));
+    EXPECT_EQ(e.ref.runSpmm(xs), e.simd.runSpmm(xs));
+    EXPECT_EQ(statDump(e.ref), statDump(e.simd));
 }
 
 TEST(SimdReplay, SingleBlockRowSmallerThanOmega)
@@ -606,17 +599,17 @@ TEST(SimdReplay, SingleBlockRowSmallerThanOmega)
     EngineTriple e(8, 1);
     e.program(&ld, &spmv);
     DenseVector x{1.0, -2.0, 3.0, -4.0, 5.0};
-    DenseVector y = e.interp.runSpmv(x);
+    DenseVector y = e.ref.runSpmv(x);
     EXPECT_EQ(y, e.simd.runSpmv(x));
     EXPECT_EQ(y, e.scalar.runSpmv(x));
 
     e.program(&ld, &fwd);
     DenseVector b(5, 1.0);
     DenseVector xi(5, 0.0), xv(5, 0.0);
-    e.interp.runSymgsSweep(b, xi);
+    e.ref.runSymgsSweep(b, xi);
     e.simd.runSymgsSweep(b, xv);
     EXPECT_EQ(xi, xv);
-    EXPECT_EQ(statDump(e.interp), statDump(e.simd));
+    EXPECT_EQ(statDump(e.ref), statDump(e.simd));
 }
 
 TEST(SimdReplay, GatherPlanInvariants)
@@ -628,7 +621,7 @@ TEST(SimdReplay, GatherPlanInvariants)
             LocallyDenseMatrix::encode(a, omega, LdLayout::Plain);
         ConfigTable table = ConfigTable::convert(KernelType::SpMV, ld);
         ExecSchedule s =
-            compileSchedule(ld, table, makeParams(omega, true, 1));
+            compileSchedule(ld, table, makeParams(omega, 1));
 
         // Value records are loadable at full vector width.
         EXPECT_EQ(reinterpret_cast<uintptr_t>(s.values.data()) % 64, 0u);
@@ -670,7 +663,7 @@ TEST(ScheduleCompile, RecordsMatchMatrixShape)
     LocallyDenseMatrix ld =
         LocallyDenseMatrix::encode(a, 8, LdLayout::Plain);
     ConfigTable table = ConfigTable::convert(KernelType::SpMV, ld);
-    AccelParams p = makeParams(8, true, 1);
+    AccelParams p = makeParams(8, 1);
     ExecSchedule s = compileSchedule(ld, table, p);
 
     EXPECT_EQ(s.pathCount, table.entries().size());

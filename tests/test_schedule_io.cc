@@ -42,7 +42,6 @@ makeParams(Index omega = 8)
 {
     AccelParams p;
     p.omega = omega;
-    p.useSchedule = true;
     return p;
 }
 

@@ -20,7 +20,7 @@
  * diff (per-bucket cycle deltas, stat deltas, energy deltas):
  *
  *   alr_sim --gen stencil3d:24 --kernel pcg --ab "--omega 16"
- *   alr_sim --gen banded:4096 --kernel spmv --ab "--no-schedule" --json
+ *   alr_sim --gen banded:4096 --kernel spmv --ab "--engine-threads 4" --json
  *   alr_sim --gen stencil2d:64 --kernel spmv --ab "--rcm" \
  *           --fail-on 'cycles>0.1%'
  */
@@ -49,7 +49,6 @@
 #include "common/version.hh"
 #include "common/thread_pool.hh"
 #include "common/timeline.hh"
-#include "common/trace.hh"
 #include "common/random.hh"
 #include "kernels/graph.hh"
 #include "sparse/generators.hh"
@@ -67,7 +66,6 @@ struct Options
     std::string imagePath;
     std::string genSpec;
     std::string savePath;
-    std::string tracePath;
     std::string timelinePath;
     std::string profilePath;
     std::string profileCsvPath;
@@ -76,7 +74,6 @@ struct Options
     Index omega = 8;
     Index source = 0;
     bool rcm = false;
-    bool noSchedule = false;
     SimdMode simdMode = SimdMode::Auto;
     bool dumpStats = false;
     bool json = false;
@@ -105,7 +102,7 @@ usage()
         "               [--profile-folded F.folded]\n"
         "               [--iters N] [--threads N] [--engine-threads N]\n"
         "               [--schedule-cache N]\n"
-        "               [--save F.alr] [--trace F.log] [--no-schedule]\n"
+        "               [--save F.alr]\n"
         "               [--simd MODE] [--ab \"FLAGS\"] [--fail-on RULE]\n"
         "               [--version]\n"
         "  SPEC: stencil2d:N | stencil3d:N | banded:N | rmat:SCALE |\n"
@@ -118,7 +115,6 @@ usage()
         "  --profile F       cycle-accounting profile (JSON)\n"
         "  --profile-csv F   per-block-row cause heatmap (CSV)\n"
         "  --profile-folded  flamegraph.pl-compatible folded stacks\n"
-        "  --no-schedule     interpreter engine (no compiled schedules)\n"
         "  --simd MODE       replay kernel ISA: auto (default; widest\n"
         "                    the CPU runs), scalar, sse2, avx2, avx512,\n"
         "                    neon; forced modes fall back down the chain\n"
@@ -135,7 +131,7 @@ usage()
         "                    same process) and print the attributed\n"
         "                    cycle/stat/energy diff; engine and kernel\n"
         "                    knobs only (--omega, --simd, --rcm,\n"
-        "                    --no-schedule, ...), no file I/O flags\n"
+        "                    --engine-threads, ...), no file I/O flags\n"
         "  --fail-on RULE    with --ab: exit 1 when the diff exceeds\n"
         "                    METRIC>NUM[%%], e.g. 'cycles>0.1%%'\n"
         "  --version         print build provenance and exit\n");
@@ -212,7 +208,7 @@ applyArgs(Options &opt, const std::vector<std::string> &args,
         };
         if (variant &&
             (arg == "--matrix" || arg == "--image" || arg == "--gen" ||
-             arg == "--save" || arg == "--trace" ||
+             arg == "--save" ||
              arg == "--timeline" || arg == "--profile" ||
              arg == "--profile-csv" || arg == "--profile-folded" ||
              arg == "--ab" || arg == "--fail-on" || arg == "--json" ||
@@ -230,8 +226,6 @@ applyArgs(Options &opt, const std::vector<std::string> &args,
             opt.genSpec = next();
         } else if (arg == "--save") {
             opt.savePath = next();
-        } else if (arg == "--trace") {
-            opt.tracePath = next();
         } else if (arg == "--kernel") {
             opt.kernel = next();
         } else if (arg == "--omega") {
@@ -258,8 +252,6 @@ applyArgs(Options &opt, const std::vector<std::string> &args,
             opt.simdMode = SimdMode::Scalar;
         } else if (arg == "--rcm") {
             opt.rcm = true;
-        } else if (arg == "--no-schedule") {
-            opt.noSchedule = true;
         } else if (arg == "--stats") {
             opt.dumpStats = true;
         } else if (arg == "--json") {
@@ -331,10 +323,6 @@ paramsFrom(const Options &opt)
 {
     AccelParams params;
     params.omega = opt.omega;
-    // --no-schedule pins the engine to the per-iteration interpreter
-    // (the two modes are bit-identical; this exposes the slow path for
-    // debugging and for timing the schedule compiler's benefit).
-    params.useSchedule = !opt.noSchedule;
     // Host-side replay knobs: both are bit-identical to the defaults,
     // exposed for timing the scheduled runs' host cost in isolation.
     if (opt.engineThreads > 0)
@@ -565,14 +553,14 @@ runAbSide(const CsrMatrix &base, const Options &opt)
 int
 runAb(const Options &baseline)
 {
-    if (!baseline.savePath.empty() || !baseline.tracePath.empty() ||
+    if (!baseline.savePath.empty() ||
         !baseline.timelinePath.empty() ||
         !baseline.profilePath.empty() ||
         !baseline.profileCsvPath.empty() ||
         !baseline.profileFoldedPath.empty() ||
         baseline.statsInterval > 0)
         fatal("--ab cannot be combined with file-output flags "
-              "(--save/--trace/--timeline/--profile*/--stats-interval)");
+              "(--save/--timeline/--profile*/--stats-interval)");
     if (!baseline.imagePath.empty())
         fatal("--ab needs a rebuildable matrix source (--gen or "
               "--matrix), not a pre-built --image");
@@ -644,14 +632,6 @@ main(int argc, char **argv)
 
     if (opt.ab)
         return runAb(opt);
-
-    std::ofstream traceFile;
-    if (!opt.tracePath.empty()) {
-        traceFile.open(opt.tracePath);
-        if (!traceFile)
-            fatal("cannot create trace file '%s'", opt.tracePath.c_str());
-        trace::setSink(&traceFile);
-    }
 
     // Arm the timeline recorder before any kernel runs so the whole
     // modeled execution lands in the trace.
@@ -803,11 +783,6 @@ main(int argc, char **argv)
                         opt.timelinePath.c_str(),
                         (unsigned long long)timeline::events().size(),
                         (unsigned long long)timeline::dropped());
-    }
-    if (!opt.tracePath.empty()) {
-        trace::setSink(nullptr);
-        if (!opt.json)
-            std::printf("trace written to %s\n", opt.tracePath.c_str());
     }
     return 0;
 }
