@@ -3,15 +3,17 @@
  * google-benchmark microbenchmarks of the simulator itself: host-side
  * throughput of the engine's kernel runs and of the preprocessing steps
  * (encode + convert), so regressions in the simulator's own speed are
- * visible.  The scheduled kernel runs take the engine thread count as
- * their argument (1 and 4), so a pooled run that costs more than the
- * inline one shows up side by side:
+ * visible.  The scheduled kernel runs take two arguments: the engine
+ * thread count (1 and 4) and the stencil3d edge (12 and 32, i.e. 1.7k
+ * and 33k rows), so the 1- vs 4-thread pair shows where the pooled
+ * functional pass pays and where it costs more than the inline run:
  *
  *   build/bench/micro_engine --benchmark_filter='Engine(Spmv|Spmm|SymGs)'
  */
 
 #include <benchmark/benchmark.h>
 
+#include <map>
 #include <vector>
 
 #include "alrescha/accelerator.hh"
@@ -23,11 +25,15 @@ namespace {
 
 using namespace alr;
 
+/** The 27-point stencil3d(@p n) matrix, built once per size. */
 const CsrMatrix &
-stencilMatrix()
+stencilMatrix(Index n = 12)
 {
-    static const CsrMatrix a = gen::stencil3d(12, 12, 12, 27);
-    return a;
+    static std::map<Index, CsrMatrix> cache;
+    auto it = cache.find(n);
+    if (it == cache.end())
+        it = cache.emplace(n, gen::stencil3d(n, n, n, 27)).first;
+    return it->second;
 }
 
 void
@@ -55,7 +61,7 @@ BM_ConvertSymGs(benchmark::State &state)
 }
 BENCHMARK(BM_ConvertSymGs);
 
-/** Default parameters with the engine thread count from the
+/** Default parameters with the engine thread count from the first
  *  benchmark argument (1 runs inline, N > 1 a private pool). */
 AccelParams
 engineParams(const benchmark::State &state)
@@ -68,7 +74,7 @@ engineParams(const benchmark::State &state)
 void
 BM_EngineSpmv(benchmark::State &state)
 {
-    const CsrMatrix &a = stencilMatrix();
+    const CsrMatrix &a = stencilMatrix(Index(state.range(1)));
     Accelerator acc(engineParams(state));
     acc.loadSpmvOnly(a);
     DenseVector x(a.cols(), 1.0);
@@ -78,12 +84,12 @@ BM_EngineSpmv(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations() * a.nnz());
 }
-BENCHMARK(BM_EngineSpmv)->Arg(1)->Arg(4);
+BENCHMARK(BM_EngineSpmv)->ArgsProduct({{1, 4}, {12, 32}});
 
 void
 BM_EngineSpmm(benchmark::State &state)
 {
-    const CsrMatrix &a = stencilMatrix();
+    const CsrMatrix &a = stencilMatrix(Index(state.range(1)));
     Accelerator acc(engineParams(state));
     acc.loadSpmvOnly(a);
     std::vector<DenseVector> xs(4, DenseVector(a.cols(), 1.0));
@@ -93,12 +99,12 @@ BM_EngineSpmm(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations() * a.nnz() * xs.size());
 }
-BENCHMARK(BM_EngineSpmm)->Arg(1)->Arg(4);
+BENCHMARK(BM_EngineSpmm)->ArgsProduct({{1, 4}, {12, 32}});
 
 void
 BM_EngineSymGsSweep(benchmark::State &state)
 {
-    const CsrMatrix &a = stencilMatrix();
+    const CsrMatrix &a = stencilMatrix(Index(state.range(1)));
     Accelerator acc(engineParams(state));
     acc.loadPde(a);
     DenseVector b(a.rows(), 1.0);
@@ -109,7 +115,7 @@ BM_EngineSymGsSweep(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations() * a.nnz());
 }
-BENCHMARK(BM_EngineSymGsSweep)->Arg(1)->Arg(4);
+BENCHMARK(BM_EngineSymGsSweep)->ArgsProduct({{1, 4}, {12, 32}});
 
 void
 BM_ReferenceSpmv(benchmark::State &state)

@@ -112,13 +112,13 @@ struct AccelParams
     int hostThreads = 0;
 
     /**
-     * Worker threads for scheduled runs: the functional pass over
-     * independent GEMV block-row groups and the partitioned timing
-     * walk.  1 runs inline (default); 0 uses the process-wide pool;
-     * N > 1 a private pool.  Results, cycle counts, stat dumps,
-     * timelines, and profiles are thread-count independent (block-row
-     * groups touch disjoint output rows; timing partitions are
-     * schedule constants combined in order).
+     * Worker threads for the scheduled SpMV/SpMM functional pass over
+     * independent GEMV block-row groups; the timing walk and the
+     * D-SymGS sweep always run in path order on the caller.  1 runs
+     * inline (default); 0 uses the process-wide pool; N > 1 a private
+     * pool.  Results, cycle counts, stat dumps, timelines, and profiles
+     * are thread-count independent (block-row groups touch disjoint
+     * output rows).
      */
     int engineThreads = 1;
 

@@ -65,6 +65,18 @@ CacheModel::write(CacheVec vec, Index chunk, bool *was_miss)
 }
 
 void
+CacheModel::Shadow::commit()
+{
+    _cache._lines.swap(_lines);
+    _cache._reads += double(_reads);
+    _cache._writes += double(_writes);
+    _cache._hits += double(_hits);
+    _cache._misses += double(_misses);
+    _cache._busyCycles += double(_reads + _writes);
+    _cache._memory->noteRandomAccesses(double(_misses));
+}
+
+void
 CacheModel::reset()
 {
     for (Line &line : _lines)

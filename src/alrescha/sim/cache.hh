@@ -62,61 +62,6 @@ class CacheModel
     /** Valid lines currently resident (timeline occupancy counter). */
     size_t occupancy() const;
 
-    // ---- shadow-replay interface (partitioned timing walk) ----
-    //
-    // The scheduled access trace is a static function of the schedule,
-    // and a direct-mapped line's post-access state is the accessed tag
-    // regardless of what it held before.  A partitioned walk therefore
-    // replays each partition against a private shadow copy of the line
-    // array, resolves only the first access per line against the
-    // composed predecessor state, and then installs its final line
-    // images and counter deltas here -- bit-identical to the serial
-    // access sequence.
-
-    /** Tag one line holds (the private Line, made composable). */
-    struct LineImage
-    {
-        bool valid = false;
-        CacheVec vec = CacheVec::Xt;
-        Index chunk = 0;
-    };
-
-    /** Direct-mapped line index of (vec, chunk) -- the touch() hash. */
-    size_t lineIndex(CacheVec vec, Index chunk) const
-    {
-        return (size_t(vec) * 0x9e3779b9u + chunk) % _lines.size();
-    }
-    size_t lineCount() const { return _lines.size(); }
-    LineImage lineImage(size_t idx) const
-    {
-        const Line &l = _lines[idx];
-        return LineImage{l.valid, l.vec, l.chunk};
-    }
-    void setLineImage(size_t idx, const LineImage &img)
-    {
-        _lines[idx] = Line{img.valid, img.vec, img.chunk};
-    }
-
-    /**
-     * Flush a replayed partition's counter deltas in one batch.  The
-     * counts are exact integers, so one batched add is bit-identical
-     * to per-access increments (the reference model's); the port-occupancy
-     * charge is one cycle per access, as in read()/write().
-     */
-    void noteBatch(double reads, double writes, double hits,
-                   double misses)
-    {
-        _reads += reads;
-        _writes += writes;
-        _hits += hits;
-        _misses += misses;
-        _busyCycles += reads + writes;
-    }
-
-    void reset();
-    /** Attach this model's "cache" stat sub-group to @p group. */
-    void registerStats(stats::StatGroup &group);
-
   private:
     struct Line
     {
@@ -125,6 +70,72 @@ class CacheModel
         Index chunk = 0;
     };
 
+    /** Direct-mapped line index of (vec, chunk). */
+    size_t lineIndex(CacheVec vec, Index chunk) const
+    {
+        return (size_t(vec) * 0x9e3779b9u + chunk) % _lines.size();
+    }
+
+  public:
+    /**
+     * A run-local image of the line array with batched counters, for
+     * the timing walks that resolve a whole run's accesses in order
+     * (pwalk.hh, Engine::graphRound).  Each access hits or misses
+     * against the image the moment it happens, exactly as read()/write()
+     * would; commit() then installs the lines and flushes the counters
+     * and the memory model's random-access count once.  The counts are
+     * exact integers, so the batched adds are bit-identical to
+     * per-access increments, and the port-occupancy charge is one cycle
+     * per access, as in read()/write().  Latency stays with the caller.
+     */
+    class Shadow
+    {
+      public:
+        explicit Shadow(CacheModel &cache)
+            : _cache(cache), _lines(cache._lines)
+        {
+        }
+
+        /** Read (vec, chunk); true on a hit. */
+        bool read(CacheVec vec, Index chunk)
+        {
+            ++_reads;
+            return touch(vec, chunk);
+        }
+
+        /** Write (vec, chunk) back; writes allocate.  True on a hit. */
+        bool write(CacheVec vec, Index chunk)
+        {
+            ++_writes;
+            return touch(vec, chunk);
+        }
+
+        /** Install the lines and flush the counters (call once). */
+        void commit();
+
+      private:
+        bool touch(CacheVec vec, Index chunk)
+        {
+            Line &l = _lines[_cache.lineIndex(vec, chunk)];
+            if (l.valid && l.vec == vec && l.chunk == chunk) {
+                ++_hits;
+                return true;
+            }
+            ++_misses;
+            l = Line{true, vec, chunk};
+            return false;
+        }
+
+        CacheModel &_cache;
+        std::vector<Line> _lines;
+        uint64_t _reads = 0, _writes = 0, _hits = 0, _misses = 0;
+    };
+
+    void reset();
+    /** Attach this model's "cache" stat sub-group to @p group. */
+    void registerStats(stats::StatGroup &group);
+
+  private:
     uint64_t touch(CacheVec vec, Index chunk);
 
     AccelParams _params;

@@ -25,9 +25,10 @@ using profile::Cause;
 /** Header of the persisted schedule-cache format ("Alrescha schedule
  *  cache").  Bump on any layout or hash change; version 2 moved the
  *  content keys and the body checksum from FNV-1a to the word hash,
- *  version 3 dropped the D-SymGS level schedule from the body. */
+ *  version 3 dropped the D-SymGS level schedule from the body, version 4
+ *  the timing-walk partition boundaries. */
 constexpr uint32_t kSchedCacheMagic = 0xA15ECAC1;
-constexpr uint32_t kSchedCacheVersion = 3;
+constexpr uint32_t kSchedCacheVersion = 4;
 
 Engine::Engine(const AccelParams &params)
     : _params(params), _memory(params), _fcu(params),
@@ -413,22 +414,22 @@ Engine::runSpmv(const DenseVector &x, RunTiming *timing)
         S.fns.spmv(S, xpad, y.data(), 0, S.pathCount);
     }
 
-    RunTiming t = gemvTiming(S, 0, pool, tlBase, prof);
+    RunTiming t = gemvTiming(S, 0, tlBase, prof);
     emitTimelineTail(tlBase, t, nullptr);
     addTiming(timing, t);
     return y;
 }
 
 RunTiming
-Engine::gemvTiming(const ExecSchedule &S, size_t k, ThreadPool *pool,
-                   uint64_t tl_base, profile::RunScope &prof)
+Engine::gemvTiming(const ExecSchedule &S, size_t k, uint64_t tl_base,
+                   profile::RunScope &prof)
 {
-    // Timing walk: the partitioned walk (pwalk.hh) replays the config
+    // Timing walk: the in-order walk (pwalk.hh) replays the config
     // table's exact cache access sequence -- the cache is stateful
     // across runs -- then the schedule's per-run totals flush in one
     // batch, scaled by the right-hand-side count for SpMM.
     const double reps = k == 0 ? 1.0 : double(k);
-    pwalk::Ctx ctx{_params, _rcu, _memory, pool, tl_base};
+    pwalk::Ctx ctx{_params, _rcu, _memory, tl_base};
     pwalk::GemvTiming g = pwalk::gemvWalk(ctx, S, k, prof);
     RunTiming t;
     t.cycles = g.cycles;
@@ -498,7 +499,7 @@ Engine::runSpmm(const std::vector<DenseVector> &xs, RunTiming *timing)
         S.fns.spmm(S, xp.data(), yp.data(), k, 0, S.pathCount);
     }
 
-    RunTiming t = gemvTiming(S, k, pool, tlBase, prof);
+    RunTiming t = gemvTiming(S, k, tlBase, prof);
     emitTimelineTail(tlBase, t, "spmm");
     addTiming(timing, t);
     return ys;
@@ -566,9 +567,9 @@ Engine::runSymgsSweep(const DenseVector &b, DenseVector &x,
         std::copy(_xpad.begin(), _xpad.begin() + std::ptrdiff_t(x.size()),
                   x.begin());
 
-        // Timing walk: the partitioned walk simulates the link-stack
-        // depth from its value before the functional pass.
-        pwalk::Ctx ctx{_params, _rcu, _memory, enginePool(), tlBase};
+        // Timing walk: simulates the link-stack depth from its value
+        // before the functional pass.
+        pwalk::Ctx ctx{_params, _rcu, _memory, tlBase};
         pwalk::SymgsTiming st = pwalk::symgsWalk(ctx, S, depth0, prof);
         stream_t = st.streamT;
         dep_t = st.depT;
@@ -713,27 +714,12 @@ Engine::graphRound(GraphOp op, const DenseVector &in,
             _memory.streamCycles(uint64_t(k) * omega * sizeof(Value));
     }
 
-    // Streaming-mode cache accesses replay against a private shadow of
-    // the direct-mapped line array; the final line images and the
-    // integer counter totals are installed once after the walk.  A
-    // streaming read never stalls: a miss only charges the line fill's
-    // share of the pipe (CacheModel::read).
-    CacheModel &cache = _rcu.cache();
-    std::vector<CacheModel::LineImage> lines(cache.lineCount());
-    for (size_t i = 0; i < lines.size(); ++i)
-        lines[i] = cache.lineImage(i);
+    // Streaming-mode cache accesses resolve against a run-local line
+    // image, installed once after the walk.  A streaming read never
+    // stalls: a miss only charges the line fill's share of the pipe
+    // (CacheModel::read).
+    CacheModel::Shadow cache(_rcu.cache());
     const uint64_t missCycles = _memory.streamCycles(lineBytes);
-    uint64_t reads = 0, writes = 0, hits = 0, misses = 0;
-    auto touch = [&](CacheVec vec, Index chunk) {
-        CacheModel::LineImage &l = lines[cache.lineIndex(vec, chunk)];
-        if (l.valid && l.vec == vec && l.chunk == chunk) {
-            ++hits;
-            return false;
-        }
-        ++misses;
-        l = CacheModel::LineImage{true, vec, chunk};
-        return true;
-    };
 
     DenseVector out(rows, pr ? 0.0 : inf);
     RunTiming t;
@@ -743,8 +729,7 @@ Engine::graphRound(GraphOp op, const DenseVector &in,
 
     auto read = [&](DataPathType dp, int64_t row, CacheVec vec,
                     Index chunk) {
-        ++reads;
-        if (touch(vec, chunk)) {
+        if (!cache.read(vec, chunk)) {
             t.cycles += missCycles;
             if (prof.on())
                 prof.add(dp, row, Cause::CacheMiss, missCycles, lineBytes);
@@ -755,8 +740,7 @@ Engine::graphRound(GraphOp op, const DenseVector &in,
     auto flushRow = [&](DataPathType dp, int64_t row) {
         if (!pr)
             read(dp, row, CacheVec::Out, Index(row));
-        ++writes;
-        if (touch(CacheVec::Out, Index(row)) && prof.on())
+        if (!cache.write(CacheVec::Out, Index(row)) && prof.on())
             prof.add(dp, row, Cause::CacheMiss, 0, lineBytes);
     };
 
@@ -881,14 +865,10 @@ Engine::graphRound(GraphOp op, const DenseVector &in,
     prof.add(drainDp, -1, Cause::TreeDrain,
              uint64_t(_params.drainCycles()));
 
-    // Install the shadow lines and flush every counter in one batch.
+    // Install the line image and flush every counter in one batch.
     // All are integers below 2^53, so each batched add is bit-identical
     // to the per-access and per-block increments it replaces.
-    for (size_t i = 0; i < lines.size(); ++i)
-        cache.setLineImage(i, lines[i]);
-    cache.noteBatch(double(reads), double(writes), double(hits),
-                    double(misses));
-    _memory.noteRandomAccesses(double(misses));
+    cache.commit();
     _memory.recordStream(streamed);
     FcuOpCounts ops;
     ops.alu = ops.reduce = double(laneOps);

@@ -287,8 +287,8 @@ class Engine
     void emitTimelineTail(uint64_t base, const RunTiming &t,
                           const char *run_name);
 
-    /** Pool for the scheduled functional pass and timing walk (nullptr
-     *  = run inline). */
+    /** Pool for the scheduled SpMV/SpMM functional pass (nullptr = run
+     *  inline). */
     ThreadPool *enginePool();
 
     /** Stage @p x into the aligned, chunk-padded gather-plan buffer. */
@@ -296,12 +296,11 @@ class Engine
 
     /**
      * Timing of one scheduled SpMV (@p k == 0) or SpMM (@p k right-hand
-     * sides) run: the partitioned walk over the schedule's cache trace
-     * (on @p pool, or inline when null), the schedule's per-run stat
-     * totals, and the end-of-run tree drain.
+     * sides) run: the in-order walk over the schedule's cache trace,
+     * the schedule's per-run stat totals, and the end-of-run tree drain.
      */
-    RunTiming gemvTiming(const ExecSchedule &S, size_t k, ThreadPool *pool,
-                         uint64_t tl_base, profile::RunScope &prof);
+    RunTiming gemvTiming(const ExecSchedule &S, size_t k, uint64_t tl_base,
+                         profile::RunScope &prof);
 
     AccelParams _params;
     MemoryModel _memory;

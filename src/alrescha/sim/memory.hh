@@ -32,9 +32,9 @@ class MemoryModel
     uint64_t recordRandomAccess();
 
     /**
-     * Record @p n random accesses in one batch (the partitioned timing
-     * walk's per-partition flush).  Counts are exact integers, so one
-     * batched add is bit-identical to n recordRandomAccess() calls.
+     * Record @p n random accesses in one batch (CacheModel::Shadow's
+     * end-of-run flush).  Counts are exact integers, so one batched add
+     * is bit-identical to n recordRandomAccess() calls.
      */
     void noteRandomAccesses(double n) { _randomAccesses += n; }
 

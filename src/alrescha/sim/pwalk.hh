@@ -1,39 +1,21 @@
 /**
  * @file
- * The timing walk over a compiled ExecSchedule, partitioned so it can
- * run on the engine pool.
+ * The timing walk over a compiled ExecSchedule: one in-order pass per
+ * run.
  *
  * Timing a run is a left-to-right scan of the schedule's paths (the
  * config table's in-order data-path stream) whose only *stateful*
  * ingredient is the RCU local cache: every other per-path charge
- * (reconfig, fill, stream, issue) is a schedule constant.  The cache
- * access trace is itself schedule-static -- which line each access
- * maps to and which tag it installs never depend on runtime values --
- * and a direct-mapped line's post-access state is the accessed tag
- * regardless of what it held before.  Those two facts make the walk
- * partition-composable:
- *
- *  1. Partition the path sequence at the schedule's fixed partBegin
- *     boundaries (a schedule constant, never the thread count).
- *  2. Replay each partition -- on the pool, or inline without one --
- *     against a private shadow copy of the line array.  Every access
- *     except the *first* one to each line resolves exactly (the first
- *     access installed a known tag); the at-most-lineCount unresolved
- *     "boundary" accesses per partition are recorded instead of
- *     guessed.
- *  3. Combine in partition order: resolve each partition's boundary
- *     accesses against the composed predecessor state, apply its final
- *     line images, and prefix-sum its cycle total.
- *  4. One in-order arithmetic scan over the resolved per-access results
- *     then emits the profile buckets and timeline events in path order
- *     and re-derives the run cycles, asserting at every partition
- *     boundary that the prefix sums agree (the per-partition
- *     conservation oracle).
- *
- * The combination is an ordered reduction over fixed partitions, so
- * results, cycles, stat dumps, timelines, and profiles are bit-for-bit
- * identical at any thread count -- including one -- to the per-entry
- * reference model in tests/engine_reference.hh.
+ * (reconfig, fill, stream, issue) is a schedule constant.  Each walk
+ * replays the run's first reconfiguration through the real RCU, then
+ * takes a run-local image of the cache lines (CacheModel::Shadow) and
+ * visits the paths in order, resolving every Out write, operand read,
+ * diagonal critical read, and x^t write against the image the moment
+ * it happens.  The same loop emits the profile charges, timeline
+ * events, and D-SymGS chain records in path order; the line image and
+ * the batched counters are installed once at the end.  Results,
+ * cycles, stat dumps, timelines, and profiles are bit-for-bit identical
+ * to the per-entry reference model in tests/engine_reference.hh.
  */
 
 #ifndef ALR_ALRESCHA_SIM_PWALK_HH
@@ -50,19 +32,15 @@ namespace alr {
 
 class Rcu;
 class MemoryModel;
-class ThreadPool;
 
 namespace pwalk {
 
-/** The engine state a partitioned walk reads and flushes into. */
+/** The engine state a walk reads and flushes into. */
 struct Ctx
 {
     const AccelParams &params;
     Rcu &rcu;
     MemoryModel &memory;
-    /** Pool for the partition replay; nullptr runs partitions inline
-     *  (same partitioned algorithm, no worker threads). */
-    ThreadPool *pool;
     /** Engine cumulative cycles at run start (timeline base). */
     uint64_t tlBase;
 };
@@ -85,7 +63,7 @@ struct SymgsTiming
 /**
  * Timing walk for SpMV (@p k == 0) or SpMM with @p k right-hand sides
  * (@p k >= 1).  Replays the run's first reconfiguration through the
- * real RCU, walks the cache trace in partitions, flushes the
+ * real RCU, walks the cache trace in path order, flushes the
  * cache/memory counter deltas, and emits profile charges into @p prof
  * (and timeline events for SpMV) in path order.  Does NOT flush the
  * schedule's per-run stat totals and does NOT add the end-of-run

@@ -54,8 +54,7 @@ ExecSchedule::bytes() const
            vecBytes(spmmMemCycles) + vecBytes(xValid) + vecBytes(xOff) +
            vecBytes(validRows) + vecBytes(chainCycles) +
            vecBytes(rowBegin) + vecBytes(rowIndex) + vecBytes(rowUseful) +
-           vecBytes(values) + vecBytes(groupBegin) +
-           vecBytes(partBegin);
+           vecBytes(values) + vecBytes(groupBegin);
 }
 
 ExecSchedule
@@ -287,18 +286,6 @@ compileSchedule(const LocallyDenseMatrix &ld, const ConfigTable &table,
     if (P > 0)
         s.groupBegin.push_back(P);
     s.parallelSafe = spmv && monotonic;
-
-    // Timing-walk partitions: fixed-count, near-equal path ranges.  The
-    // boundaries depend only on the path count, never on the pool size,
-    // which is what makes the partitioned walk thread-count invariant.
-    s.partBegin.push_back(0);
-    if (P > 0) {
-        size_t parts = std::min(kTimingPartitions, P);
-        size_t per = (P + parts - 1) / parts;
-        for (size_t b = per; b < P; b += per)
-            s.partBegin.push_back(b);
-        s.partBegin.push_back(P);
-    }
 
     // Row-layout shape for the replay specialization: when no GEMV
     // path skipped a row (skipEmptyBlockRows never fired inside a

@@ -120,16 +120,6 @@ struct ExecSchedule
      *  rows and the functional pass may run them in parallel. */
     bool parallelSafe = false;
 
-    // ---- timing-walk partitions ----
-    /**
-     * Path range of timing partition p: [partBegin[p], partBegin[p+1]).
-     * The boundaries are a pure function of the schedule (fixed fan-out
-     * of kTimingPartitions, never the thread count), so the partitioned
-     * walk replays the identical decomposition -- and therefore the
-     * identical combined numbers -- at any pool size.
-     */
-    std::vector<size_t> partBegin;
-
     // ---- stamped replay specialization (replay::specialize) ----
     /**
      * Resolved replay entry points: the fully specialized
@@ -221,13 +211,6 @@ struct GraphPlan
  */
 GraphPlan buildGraphPlan(const LocallyDenseMatrix &ld,
                          bool skip_empty_rows);
-
-/**
- * Fan-out of the partitioned timing walk.  A schedule constant (not a
- * thread count): partitions are combined in index order, so any pool
- * size walks the same partitions and reduces them identically.
- */
-constexpr size_t kTimingPartitions = 32;
 
 } // namespace alr
 

@@ -6,7 +6,7 @@
  * next to the program image lets a warm start replay with zero
  * compileSchedule calls.
  *
- * What round-trips: every per-path vector, row record, group/partition
+ * What round-trips: every per-path vector, row record, block-row group
  * boundary, and per-run constant -- the complete compiled state.  What
  * does not: the stamped replay entry points (fns), which are
  * process-local function pointers; the loader

@@ -130,16 +130,28 @@ dropped()
     return r.dropped;
 }
 
-std::vector<Event>
-events()
+namespace {
+
+/** Visit the recorded events oldest first, in place, under the ring
+ *  lock (@p fn must not record events). */
+template <class Fn>
+void
+forEachEvent(Fn &&fn)
 {
     Ring &r = ring();
     std::lock_guard<std::mutex> lock(r.mutex);
-    std::vector<Event> out;
-    out.reserve(r.count);
     size_t start = (r.head + r.buf.size() - r.count) % r.buf.size();
     for (size_t i = 0; i < r.count; ++i)
-        out.push_back(r.buf[(start + i) % r.buf.size()]);
+        fn(r.buf[(start + i) % r.buf.size()]);
+}
+
+} // namespace
+
+std::vector<Event>
+events()
+{
+    std::vector<Event> out;
+    forEachEvent([&out](const Event &ev) { out.push_back(ev); });
     return out;
 }
 
@@ -205,7 +217,7 @@ exportChromeTrace(std::ostream &os)
             meta(key.first, int(key.second), "thread_name", name);
     }
 
-    for (const Event &ev : events()) {
+    forEachEvent([&w](const Event &ev) {
         const char *ph = ev.kind == Event::Kind::Span      ? "X"
                          : ev.kind == Event::Kind::Counter ? "C"
                                                            : "i";
@@ -222,7 +234,7 @@ exportChromeTrace(std::ostream &os)
         else if (ev.kind == Event::Kind::Instant)
             w.key("s").value("t");
         w.endObject();
-    }
+    });
     w.endArray().key("displayTimeUnit").value("ns").endObject();
     os << '\n';
 }

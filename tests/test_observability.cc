@@ -529,6 +529,30 @@ TEST(Timeline, RingOverwritesOldestAndCountsDrops)
     timeline::setCapacity(size_t(1) << 18); // restore the default
 }
 
+TEST(Timeline, ExportStreamsWrappedRingOldestFirst)
+{
+    timeline::setCapacity(8);
+    timeline::reset();
+    timeline::setEnabled(true);
+    for (uint64_t i = 0; i < 13; ++i)
+        timeline::span("tick", "test", timeline::kTidDataPath, i, 1);
+    timeline::setEnabled(false);
+
+    std::ostringstream os;
+    timeline::exportChromeTrace(os);
+    json::Parsed doc = json::parse(os.str());
+    ASSERT_TRUE(doc.ok) << doc.error << " at " << doc.offset;
+    std::vector<int64_t> ts;
+    for (const json::Value &ev : doc.value.find("traceEvents")->elements())
+        if (ev.stringAt("name") == "tick")
+            ts.push_back(ev.intAt("ts", -1));
+    // The five oldest events were overwritten; the survivors export
+    // oldest first, in recording order.
+    EXPECT_EQ(ts, (std::vector<int64_t>{5, 6, 7, 8, 9, 10, 11, 12}));
+
+    timeline::setCapacity(size_t(1) << 18); // restore the default
+}
+
 TEST(Timeline, ParallelEngineWorkersRecordSafely)
 {
     timeline::reset();

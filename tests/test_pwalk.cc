@@ -1,14 +1,12 @@
 /**
  * @file
- * Partitioned timing walk tests: the scheduled engine (functional
- * replay plus partitioned timing walk) must be bit-identical to the
- * per-entry reference model (engine_reference.hh) -- results, cycle
- * counts, full stat dumps, profile
- * buckets, and modeled timeline events -- at every pool size, inline
- * (one thread) and on the process-wide pool (engineThreads = 0),
- * because partition boundaries are schedule constants and the combine
- * is an ordered reduction.  Plus the profiler conservation invariant
- * under partitioning and partition-boundary determinism.
+ * Timing walk tests: the scheduled engine (functional replay plus the
+ * in-order timing walk) must be bit-identical to the per-entry
+ * reference model (engine_reference.hh) -- results, cycle counts, full
+ * stat dumps, profile buckets, and modeled timeline events -- at every
+ * engine pool size, inline (one thread) and on the process-wide pool
+ * (engineThreads = 0), and across cache geometries and exposed
+ * reconfiguration costs.  Plus the profiler conservation invariant.
  */
 
 #include <gtest/gtest.h>
@@ -239,9 +237,9 @@ TEST_P(PwalkEquivalence, SymgsBitIdentical)
 
 TEST_P(PwalkEquivalence, MixedKernelsShareState)
 {
-    // Interleave SpMV and SymGS through one engine pair: the partition
-    // combine must leave cache, link-stack, and switch state exactly
-    // where the reference model does, or the next kernel diverges.
+    // Interleave SpMV and SymGS through one engine pair: the walk must
+    // leave cache, link-stack, and switch state exactly where the
+    // reference model does, or the next kernel diverges.
     const Case c = GetParam();
     CsrMatrix a = gen::stencil2d(9, 9);
     LocallyDenseMatrix ld =
@@ -275,10 +273,10 @@ TEST_P(PwalkEquivalence, MixedKernelsShareState)
 }
 
 // ---------------------------------------------------------------------
-// Profiler under partitioning: every bucket identical to the
-// reference model's, and the conservation invariant (attributed cycles == engine
-// cycles, attributed bytes == memory traffic) holds because the combine
-// re-emits attribution from one in-order scan.
+// Profiler: every bucket identical to the reference model's, and the
+// conservation invariant (attributed cycles == engine cycles,
+// attributed bytes == memory traffic) holds because the walk emits
+// attribution in path order.
 
 TEST_P(PwalkEquivalence, ProfileBucketsIdenticalAndConserved)
 {
@@ -333,11 +331,11 @@ TEST_P(PwalkEquivalence, ProfileBucketsIdenticalAndConserved)
 }
 
 // ---------------------------------------------------------------------
-// Timeline under partitioning: the modeled event stream (spans and
-// counters on the modeled pid) is identical in content AND order, since
-// the combine's in-order scan emits it exactly as the reference model
-// does.  Host-pid spans are excluded: wall-clock tracks legitimately
-// differ across engines and pool sizes.
+// Timeline: the modeled event stream (spans and counters on the
+// modeled pid) is identical in content AND order, since the walk emits
+// it in path order exactly as the reference model does.  Host-pid spans
+// are excluded: wall-clock tracks legitimately differ across engines
+// and pool sizes.
 
 TEST_P(PwalkEquivalence, ModeledTimelineIdentical)
 {
@@ -390,27 +388,104 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------
-// Partition boundaries are schedule constants: recompiling under
-// different thread counts yields the identical decomposition, which is
-// the root of the determinism guarantee.
+// Cache geometry and exposed reconfiguration: a 2-line cache (nearly
+// every access misses and evicts), a 1024-line cache (almost nothing
+// evicts), and configCycles above the tree drain (every switch exposes
+// cycles) must all stay bit-identical to the reference model through
+// interleaved SpMV, SpMM and both SymGS sweep directions.
 
-TEST(PwalkPartitions, BoundariesAreScheduleConstantsNotThreadCounts)
+struct Geometry
 {
-    Rng rng(5);
-    CsrMatrix a = gen::blockStructured(256, 8, 6, 0.6, rng);
-    LocallyDenseMatrix ld =
-        LocallyDenseMatrix::encode(a, 8, LdLayout::Plain);
-    ConfigTable table = ConfigTable::convert(KernelType::SpMV, ld);
+    uint32_t cacheBytes;
+    int configCycles;
+};
 
-    ExecSchedule s1 = compileSchedule(ld, table, makeParams(8, 1));
-    ExecSchedule s8 = compileSchedule(ld, table, makeParams(8, 8));
-
-    ASSERT_GE(s1.partBegin.size(), 2u);
-    EXPECT_EQ(s1.partBegin, s8.partBegin);
-    EXPECT_LE(s1.partBegin.size(), kTimingPartitions + 1);
-    EXPECT_EQ(s1.partBegin.front(), 0u);
-    EXPECT_EQ(s1.partBegin.back(), s1.pathCount);
-    for (size_t p = 0; p + 1 < s1.partBegin.size(); ++p)
-        EXPECT_LT(s1.partBegin[p], s1.partBegin[p + 1])
-            << "empty partition " << p;
+std::string
+geometryName(const Geometry &g)
+{
+    std::string name = "cache";
+    name += std::to_string(g.cacheBytes);
+    name += "_cfg";
+    name += std::to_string(g.configCycles);
+    return name;
 }
+
+class PwalkCacheGeometry : public ::testing::TestWithParam<Geometry>
+{
+};
+
+TEST_P(PwalkCacheGeometry, AllKernelsBitIdentical)
+{
+    const Geometry g = GetParam();
+    const std::string what = geometryName(g);
+    AccelParams params = makeParams(8, 1);
+    params.cacheBytes = g.cacheBytes;
+    params.configCycles = g.configCycles;
+
+    Rng rng(61);
+    CsrMatrix a = gen::banded(131, 9, 0.6, rng);
+    LocallyDenseMatrix ld =
+        LocallyDenseMatrix::encode(a, params.omega, LdLayout::SymGs);
+    ConfigTable spmv = ConfigTable::convert(KernelType::SpMV, ld);
+    ConfigTable fwd = ConfigTable::convert(KernelType::SymGS, ld, true,
+                                           GsSweep::Forward);
+    ConfigTable bwd = ConfigTable::convert(KernelType::SymGS, ld, true,
+                                           GsSweep::Backward);
+
+    struct Outcome
+    {
+        std::vector<DenseVector> ys;
+        std::vector<RunTiming> ts;
+        std::string stats;
+        profile::Snapshot prof;
+    };
+    auto drive = [&](auto &e) {
+        ProfileGuard guard;
+        Outcome o;
+        DenseVector b(a.rows(), 1.0), x(a.rows(), 0.0);
+        std::vector<DenseVector> xs(3, DenseVector(a.cols()));
+        for (size_t j = 0; j < xs.size(); ++j)
+            for (size_t i = 0; i < xs[j].size(); ++i)
+                xs[j][i] = Value((i * (j + 2)) % 11) - 5.0;
+        for (int run = 0; run < 2; ++run) {
+            RunTiming t;
+            e.program(&ld, &spmv);
+            o.ys.push_back(e.runSpmv(xs[0], &t));
+            o.ts.push_back(t);
+            for (DenseVector &y : e.runSpmm(xs, &t))
+                o.ys.push_back(std::move(y));
+            o.ts.push_back(t);
+            for (const ConfigTable *table : {&fwd, &bwd}) {
+                e.program(&ld, table);
+                e.runSymgsSweep(b, x, &t);
+                o.ys.push_back(x);
+                o.ts.push_back(t);
+            }
+        }
+        o.stats = statDump(e);
+        o.prof = profile::snapshot();
+        return o;
+    };
+
+    ReferenceEngine ref(params);
+    Engine eng(params);
+    Outcome want = drive(ref);
+    Outcome got = drive(eng);
+    ASSERT_EQ(want.ys, got.ys);
+    ASSERT_EQ(want.ts.size(), got.ts.size());
+    for (size_t i = 0; i < want.ts.size(); ++i)
+        expectTimingEq(want.ts[i], got.ts[i], what.c_str());
+    EXPECT_EQ(want.stats, got.stats);
+    expectSameBuckets(want.prof, got.prof, what);
+    EXPECT_EQ(want.prof.attributedCycles, got.prof.attributedCycles);
+    EXPECT_EQ(want.prof.attributedBytes, got.prof.attributedBytes);
+    EXPECT_GT(eng.rcu().cache().misses(), 0.0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, PwalkCacheGeometry,
+    ::testing::Values(Geometry{128, 8}, Geometry{64 * 1024, 8},
+                      Geometry{1024, 40}),
+    [](const ::testing::TestParamInfo<Geometry> &info) {
+        return geometryName(info.param);
+    });

@@ -326,8 +326,9 @@ TEST(ScheduleCachePersistence, CorruptionFallsBackToRecompile)
 TEST(ScheduleCachePersistence, VersionOneFilesRecompile)
 {
     // Version 1 keyed and checksummed with FNV-1a; version 2 carried
-    // the D-SymGS level schedule in its body.  Neither can feed a
-    // version 3 engine, so the header gate refuses both files.
+    // the D-SymGS level schedule in its body; version 3 carried the
+    // timing-walk partition boundaries.  None can feed a version 4
+    // engine, so the header gate refuses all three files.
     Problem p(45);
     Engine e(makeParams());
     e.program(&p.ld, &p.table);
@@ -337,9 +338,9 @@ TEST(ScheduleCachePersistence, VersionOneFilesRecompile)
     const std::string current = good.str();
     uint32_t version = 0;
     std::memcpy(&version, current.data() + 4, sizeof(version));
-    EXPECT_EQ(version, 3u);
+    EXPECT_EQ(version, 4u);
 
-    for (uint32_t old_version : {1u, 2u}) {
+    for (uint32_t old_version : {1u, 2u, 3u}) {
         SCOPED_TRACE("version " + std::to_string(old_version));
         std::string bytes = current;
         std::memcpy(bytes.data() + 4, &old_version, sizeof(old_version));

@@ -122,8 +122,8 @@ usage()
         "                    (--no-simd is kept as an alias for\n"
         "                    --simd scalar)\n"
         "  --threads N       host preprocessing pool size\n"
-        "  --engine-threads N  scheduled functional pass + timing\n"
-        "                    walk threads (default 1: inline)\n"
+        "  --engine-threads N  scheduled SpMV/SpMM functional pass\n"
+        "                    threads (default 1: inline)\n"
         "  --schedule-cache  compiled-schedule MRU cache capacity\n"
         "                    (default 8; evictions recompile)\n"
         "  --ab \"FLAGS\"      in-process A/B: rerun with FLAGS applied\n"

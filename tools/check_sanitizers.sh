@@ -7,9 +7,9 @@
 #      thread count to provoke races.
 #   3. The same TSan build re-run over the suites whose engines run
 #      scheduled kernels on a pool (pwalk, schedule equivalence,
-#      profile, multi-engine, serve) with ALR_THREADS=8, so the shadow
-#      replay and ordered combine of the partitioned timing walk
-#      execute on real threads under the race detector.
+#      profile, multi-engine, serve) with ALR_THREADS=8, so the pooled
+#      SpMV/SpMM functional pass and the in-order timing walk that
+#      follows it execute on real threads under the race detector.
 #
 # Usage: tools/check_sanitizers.sh [build-dir-prefix] [all|asan|tsan]
 # The second argument picks the passes: "asan" runs 1 (plus the forced-
@@ -74,8 +74,9 @@ ALR_THREADS=8 TSAN_OPTIONS="halt_on_error=1" run_suite "${prefix}-tsan" \
 
 # Re-run the suites that drive scheduled kernels on engine pools
 # (same TSan build): the pwalk suite sweeps pool sizes itself, the
-# others prove the partitioned walk stays bit-identical while racing.
-echo "== TSan: testing the partitioned timing walk =="
+# others prove the pooled functional pass and the timing walk stay
+# bit-identical while racing.
+echo "== TSan: testing scheduled kernels on engine pools =="
 (cd "${prefix}-tsan" && \
     ALR_THREADS=8 TSAN_OPTIONS="halt_on_error=1" \
     ctest --output-on-failure -j "${jobs}" \
