@@ -39,7 +39,6 @@ spmvParams(SimdMode mode)
 {
     AccelParams p;
     p.simdMode = mode;
-    p.engineThreads = 1; // single-threaded functional pass
     return p;
 }
 

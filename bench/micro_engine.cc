@@ -3,10 +3,9 @@
  * google-benchmark microbenchmarks of the simulator itself: host-side
  * throughput of the engine's kernel runs and of the preprocessing steps
  * (encode + convert), so regressions in the simulator's own speed are
- * visible.  The scheduled kernel runs take two arguments: the engine
- * thread count (1 and 4) and the stencil3d edge (12 and 32, i.e. 1.7k
- * and 33k rows), so the 1- vs 4-thread pair shows where the pooled
- * functional pass pays and where it costs more than the inline run:
+ * visible.  The scheduled kernel runs take the stencil3d edge as their
+ * argument (12 and 32, i.e. 1.7k and 33k rows); every run executes on
+ * the calling thread:
  *
  *   build/bench/micro_engine --benchmark_filter='Engine(Spmv|Spmm|SymGs)'
  */
@@ -61,21 +60,11 @@ BM_ConvertSymGs(benchmark::State &state)
 }
 BENCHMARK(BM_ConvertSymGs);
 
-/** Default parameters with the engine thread count from the first
- *  benchmark argument (1 runs inline, N > 1 a private pool). */
-AccelParams
-engineParams(const benchmark::State &state)
-{
-    AccelParams p;
-    p.engineThreads = int(state.range(0));
-    return p;
-}
-
 void
 BM_EngineSpmv(benchmark::State &state)
 {
-    const CsrMatrix &a = stencilMatrix(Index(state.range(1)));
-    Accelerator acc(engineParams(state));
+    const CsrMatrix &a = stencilMatrix(Index(state.range(0)));
+    Accelerator acc;
     acc.loadSpmvOnly(a);
     DenseVector x(a.cols(), 1.0);
     for (auto _ : state) {
@@ -84,13 +73,13 @@ BM_EngineSpmv(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations() * a.nnz());
 }
-BENCHMARK(BM_EngineSpmv)->ArgsProduct({{1, 4}, {12, 32}});
+BENCHMARK(BM_EngineSpmv)->Arg(12)->Arg(32);
 
 void
 BM_EngineSpmm(benchmark::State &state)
 {
-    const CsrMatrix &a = stencilMatrix(Index(state.range(1)));
-    Accelerator acc(engineParams(state));
+    const CsrMatrix &a = stencilMatrix(Index(state.range(0)));
+    Accelerator acc;
     acc.loadSpmvOnly(a);
     std::vector<DenseVector> xs(4, DenseVector(a.cols(), 1.0));
     for (auto _ : state) {
@@ -99,13 +88,13 @@ BM_EngineSpmm(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations() * a.nnz() * xs.size());
 }
-BENCHMARK(BM_EngineSpmm)->ArgsProduct({{1, 4}, {12, 32}});
+BENCHMARK(BM_EngineSpmm)->Arg(12)->Arg(32);
 
 void
 BM_EngineSymGsSweep(benchmark::State &state)
 {
-    const CsrMatrix &a = stencilMatrix(Index(state.range(1)));
-    Accelerator acc(engineParams(state));
+    const CsrMatrix &a = stencilMatrix(Index(state.range(0)));
+    Accelerator acc;
     acc.loadPde(a);
     DenseVector b(a.rows(), 1.0);
     DenseVector x(a.rows(), 0.0);
@@ -115,7 +104,7 @@ BM_EngineSymGsSweep(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations() * a.nnz());
 }
-BENCHMARK(BM_EngineSymGsSweep)->ArgsProduct({{1, 4}, {12, 32}});
+BENCHMARK(BM_EngineSymGsSweep)->Arg(12)->Arg(32);
 
 void
 BM_ReferenceSpmv(benchmark::State &state)

@@ -104,6 +104,13 @@ runObservedPass(const std::vector<Dataset> &suite, const TraceParams &tp,
     return p;
 }
 
+/** Exact p-th percentile of the per-request end-to-end latency, ns. */
+double
+latencyPercentileNs(const ServeResult &res, double p)
+{
+    return metrics::exactPercentile(res.latencyUs, p) * 1e3;
+}
+
 json::Value
 rowOf(const char *name, const Pass &p)
 {
@@ -128,9 +135,10 @@ rowOf(const char *name, const Pass &p)
     row.set("cycles", count(p.cycles));
     row.set("bytes_streamed", count(p.bytes));
     row.set("requests_per_sec", json::Value(p.res.requestsPerSec));
-    row.set("latency_p50_ns", json::Value(p.res.latencyNs.percentile(50)));
-    row.set("latency_p95_ns", json::Value(p.res.latencyNs.percentile(95)));
-    row.set("latency_p99_ns", json::Value(p.res.latencyNs.percentile(99)));
+    for (auto [key, pct] : {std::pair{"latency_p50_ns", 50.0},
+                            {"latency_p95_ns", 95.0},
+                            {"latency_p99_ns", 99.0}})
+        row.set(key, json::Value(latencyPercentileNs(p.res, pct)));
     row.set("stats", std::move(stats));
     return row;
 }
@@ -217,7 +225,7 @@ main()
                           ? fmt(p.res.batchSize.mean(), 2)
                           : "-",
                       fmt(double(p.cycles) / 1e6, 2),
-                      fmt(p.res.latencyNs.percentile(95) / 1e3, 0)});
+                      fmt(latencyPercentileNs(p.res, 95.0) / 1e3, 0)});
     };
     addRow("spmv batch off", off);
     addRow("spmv batch on", on);

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/logging.hh"
-#include "common/thread_pool.hh"
 #include "kernels/blas1.hh"
 
 namespace alr {
@@ -21,16 +20,6 @@ Accelerator::requireLoaded() const
     ALR_ASSERT(_ld != nullptr, "no matrix loaded");
 }
 
-ThreadPool *
-Accelerator::hostPool()
-{
-    if (_params.hostThreads <= 0)
-        return nullptr; // encode/convert fall back to the global pool
-    if (!_hostPool || _hostPool->threadCount() != _params.hostThreads)
-        _hostPool = std::make_unique<ThreadPool>(_params.hostThreads);
-    return _hostPool.get();
-}
-
 void
 Accelerator::loadPde(const CsrMatrix &a)
 {
@@ -39,16 +28,15 @@ Accelerator::loadPde(const CsrMatrix &a)
     // are keyed on their identity, so drop them before the addresses
     // can be recycled.
     _engine.invalidateSchedules();
-    ThreadPool *pool = hostPool();
     _ld = std::make_unique<LocallyDenseMatrix>(LocallyDenseMatrix::encode(
-        a, _params.omega, LdLayout::SymGs, pool));
+        a, _params.omega, LdLayout::SymGs));
     bool reorder = _params.reorderDataPaths;
     _symgsFwd = std::make_unique<ConfigTable>(ConfigTable::convert(
-        KernelType::SymGS, *_ld, reorder, GsSweep::Forward, pool));
+        KernelType::SymGS, *_ld, reorder, GsSweep::Forward));
     _symgsBwd = std::make_unique<ConfigTable>(ConfigTable::convert(
-        KernelType::SymGS, *_ld, reorder, GsSweep::Backward, pool));
+        KernelType::SymGS, *_ld, reorder, GsSweep::Backward));
     _spmvTable = std::make_unique<ConfigTable>(ConfigTable::convert(
-        KernelType::SpMV, *_ld, true, GsSweep::Forward, pool));
+        KernelType::SpMV, *_ld, true, GsSweep::Forward));
     _bfsTable.reset();
     _ssspTable.reset();
     _prTable.reset();
@@ -59,11 +47,10 @@ void
 Accelerator::loadSpmvOnly(const CsrMatrix &a)
 {
     _engine.invalidateSchedules();
-    ThreadPool *pool = hostPool();
     _ld = std::make_unique<LocallyDenseMatrix>(LocallyDenseMatrix::encode(
-        a, _params.omega, LdLayout::Plain, pool));
+        a, _params.omega, LdLayout::Plain));
     _spmvTable = std::make_unique<ConfigTable>(ConfigTable::convert(
-        KernelType::SpMV, *_ld, true, GsSweep::Forward, pool));
+        KernelType::SpMV, *_ld, true, GsSweep::Forward));
     _symgsFwd.reset();
     _symgsBwd.reset();
     _bfsTable.reset();
@@ -79,17 +66,16 @@ Accelerator::loadGraph(const CsrMatrix &adj)
     _engine.invalidateSchedules();
     _outDegrees = outDegrees(adj);
     CsrMatrix adjT = adj.transposed();
-    ThreadPool *pool = hostPool();
     _ld = std::make_unique<LocallyDenseMatrix>(LocallyDenseMatrix::encode(
-        adjT, _params.omega, LdLayout::Plain, pool));
+        adjT, _params.omega, LdLayout::Plain));
     _bfsTable = std::make_unique<ConfigTable>(ConfigTable::convert(
-        KernelType::BFS, *_ld, true, GsSweep::Forward, pool));
+        KernelType::BFS, *_ld, true, GsSweep::Forward));
     _ssspTable = std::make_unique<ConfigTable>(ConfigTable::convert(
-        KernelType::SSSP, *_ld, true, GsSweep::Forward, pool));
+        KernelType::SSSP, *_ld, true, GsSweep::Forward));
     _prTable = std::make_unique<ConfigTable>(ConfigTable::convert(
-        KernelType::PageRank, *_ld, true, GsSweep::Forward, pool));
+        KernelType::PageRank, *_ld, true, GsSweep::Forward));
     _spmvTable = std::make_unique<ConfigTable>(ConfigTable::convert(
-        KernelType::SpMV, *_ld, true, GsSweep::Forward, pool));
+        KernelType::SpMV, *_ld, true, GsSweep::Forward));
     _symgsFwd.reset();
     _symgsBwd.reset();
 }

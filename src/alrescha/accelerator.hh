@@ -24,7 +24,6 @@
 #include "alrescha/energy.hh"
 #include "alrescha/format.hh"
 #include "alrescha/sim/engine.hh"
-#include "common/thread_pool.hh"
 #include "kernels/graph.hh"
 #include "kernels/krylov.hh"
 #include "kernels/pcg.hh"
@@ -188,13 +187,10 @@ class Accelerator
     void requireLoaded() const;
     GraphResult relaxToFixpoint(const ConfigTable &table,
                                 DenseVector init, bool labels);
-    /** Preprocessing pool: private (params.hostThreads > 0) or global. */
-    ThreadPool *hostPool();
 
     AccelParams _params;
     EnergyModel _energyModel;
     Engine _engine;
-    std::unique_ptr<ThreadPool> _hostPool;
 
     std::unique_ptr<LocallyDenseMatrix> _ld;
     std::unique_ptr<ConfigTable> _spmvTable;

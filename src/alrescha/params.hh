@@ -103,26 +103,6 @@ struct AccelParams
     bool frontierSkipping = true;
 
     /**
-     * Worker threads for the host preprocessing pipeline (locally-dense
-     * encoding + Algorithm 1 conversion).  0 uses the process-wide pool
-     * sized by the ALR_THREADS environment variable (or hardware
-     * concurrency); a positive value gives this accelerator a private
-     * pool of that size.  Results are thread-count independent.
-     */
-    int hostThreads = 0;
-
-    /**
-     * Worker threads for the scheduled SpMV/SpMM functional pass over
-     * independent GEMV block-row groups; the timing walk and the
-     * D-SymGS sweep always run in path order on the caller.  1 runs
-     * inline (default); 0 uses the process-wide pool; N > 1 a private
-     * pool.  Results, cycle counts, stat dumps, timelines, and profiles
-     * are thread-count independent (block-row groups touch disjoint
-     * output rows).
-     */
-    int engineThreads = 1;
-
-    /**
      * Compiled ExecSchedules kept per engine before the least recently
      * used one is evicted (alr_sim --schedule-cache=N).  One schedule
      * is cached per programmed (matrix, table) pair, so a serving

@@ -15,7 +15,6 @@
 #include "common/binary_io.hh"
 #include "common/hash.hh"
 #include "common/logging.hh"
-#include "common/thread_pool.hh"
 #include "common/timeline.hh"
 
 namespace alr {
@@ -26,9 +25,11 @@ using profile::Cause;
  *  cache").  Bump on any layout or hash change; version 2 moved the
  *  content keys and the body checksum from FNV-1a to the word hash,
  *  version 3 dropped the D-SymGS level schedule from the body, version 4
- *  the timing-walk partition boundaries. */
+ *  the timing-walk partition boundaries, version 5 the block-row group
+ *  plan and three never-read records (operand lane counts, diagonal
+ *  row counts, per-row non-zero counts). */
 constexpr uint32_t kSchedCacheMagic = 0xA15ECAC1;
-constexpr uint32_t kSchedCacheVersion = 4;
+constexpr uint32_t kSchedCacheVersion = 5;
 
 Engine::Engine(const AccelParams &params)
     : _params(params), _memory(params), _fcu(params),
@@ -136,6 +137,13 @@ Engine::prepareSchedule()
             // parser; either way the compile path is the safe answer.
             warn("restored schedule hash matched a different shape; "
                  "recompiling");
+            continue;
+        }
+        if (!scheduleFits(*r.sched, *_ld, *_table)) {
+            // The body checksum is unkeyed, so a hand-edited file can
+            // carry indices the replay would follow out of bounds.
+            warn("restored schedule does not fit the programmed "
+                 "matrix; recompiling");
             continue;
         }
         slot.sched = std::move(r.sched);
@@ -300,18 +308,6 @@ Engine::loadScheduleCacheFile(const std::string &path)
     return loadScheduleCache(in);
 }
 
-ThreadPool *
-Engine::enginePool()
-{
-    if (_params.engineThreads == 1)
-        return nullptr;
-    if (_params.engineThreads <= 0)
-        return &ThreadPool::global();
-    if (!_privatePool)
-        _privatePool = std::make_unique<ThreadPool>(_params.engineThreads);
-    return _privatePool.get();
-}
-
 Value *
 Engine::stageOperand(const ExecSchedule &S, const DenseVector &x)
 {
@@ -396,23 +392,10 @@ Engine::runSpmv(const DenseVector &x, RunTiming *timing)
     const uint64_t tlBase = totalCycles();
     profile::RunScope prof;
 
-    // Functional pass: block-row groups touch disjoint output rows, so
-    // they may run in parallel; within a group the path order (and thus
-    // the FP accumulation order into y) is the config table's.  The
-    // ω-wide work happens in the replay kernels against the staged
-    // operand, which parallel workers share read-only.
-    const Value *xpad = stageOperand(S, x);
-    size_t groups = S.groupBegin.empty() ? 0 : S.groupBegin.size() - 1;
-    ThreadPool *pool = enginePool();
-    if (pool && S.parallelSafe && groups > 1) {
-        pool->parallelForChunks(0, groups, [&](size_t gb, size_t ge) {
-            timeline::ScopedHostSpan chunkSpan("spmv.groups", "worker");
-            S.fns.spmv(S, xpad, y.data(), S.groupBegin[gb],
-                       S.groupBegin[ge]);
-        });
-    } else {
-        S.fns.spmv(S, xpad, y.data(), 0, S.pathCount);
-    }
+    // Functional pass, in path order (the config table's order, and
+    // thus its FP accumulation order into y): the ω-wide work happens
+    // in the replay kernels against the staged operand.
+    S.fns.spmv(S, stageOperand(S, x), y.data(), 0, S.pathCount);
 
     RunTiming t = gemvTiming(S, 0, tlBase, prof);
     emitTimelineTail(tlBase, t, nullptr);
@@ -487,17 +470,7 @@ Engine::runSpmm(const std::vector<DenseVector> &xs, RunTiming *timing)
         xp[j] = dst;
         yp[j] = ys[j].data();
     }
-    size_t groups = S.groupBegin.empty() ? 0 : S.groupBegin.size() - 1;
-    ThreadPool *pool = enginePool();
-    if (pool && S.parallelSafe && groups > 1) {
-        pool->parallelForChunks(0, groups, [&](size_t gb, size_t ge) {
-            timeline::ScopedHostSpan chunkSpan("spmm.groups", "worker");
-            S.fns.spmm(S, xp.data(), yp.data(), k, S.groupBegin[gb],
-                       S.groupBegin[ge]);
-        });
-    } else {
-        S.fns.spmm(S, xp.data(), yp.data(), k, 0, S.pathCount);
-    }
+    S.fns.spmm(S, xp.data(), yp.data(), k, 0, S.pathCount);
 
     RunTiming t = gemvTiming(S, k, tlBase, prof);
     emitTimelineTail(tlBase, t, "spmm");

@@ -39,8 +39,6 @@
 
 namespace alr {
 
-class ThreadPool;
-
 namespace profile {
 class RunScope;
 }
@@ -287,10 +285,6 @@ class Engine
     void emitTimelineTail(uint64_t base, const RunTiming &t,
                           const char *run_name);
 
-    /** Pool for the scheduled SpMV/SpMM functional pass (nullptr = run
-     *  inline). */
-    ThreadPool *enginePool();
-
     /** Stage @p x into the aligned, chunk-padded gather-plan buffer. */
     Value *stageOperand(const ExecSchedule &S, const DenseVector &x);
 
@@ -350,7 +344,6 @@ class Engine
     mutable std::mutex _scheduleMutex;
     uint64_t _scheduleCompiles = 0;
     uint64_t _scheduleHits = 0;
-    std::unique_ptr<ThreadPool> _privatePool;
 
     /** Occupancy plan of the last matrix a graph round ran on (keyed
      *  on its generation, like the schedule slots).  Graph rounds on
@@ -360,7 +353,7 @@ class Engine
 
     /** Operand staging scratch for the scheduled replay (gather plan):
      *  one padded vector, and k of them at an aligned stride for SpMM.
-     *  Reused across runs; parallel workers read them only. */
+     *  Reused across runs. */
     AlignedValueVector _xpad;
     AlignedValueVector _xpadMulti;
 

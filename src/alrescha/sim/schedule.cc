@@ -38,6 +38,19 @@ reconfigDelta(const AccelParams &params, DataPathType from, DataPathType to)
     return d;
 }
 
+/** Length the operand is staged to for @p kernel's gather plan: the
+ *  SpMV operand (cols entries) or the SymGS iterate (rows entries),
+ *  rounded up to whole ω-wide chunks. */
+size_t
+paddedOperandLength(const LocallyDenseMatrix &ld, KernelType kernel,
+                    size_t omega)
+{
+    const size_t len = kernel == KernelType::SpMV
+                           ? ld.cols()
+                           : std::max(ld.rows(), ld.cols());
+    return (len + omega - 1) / omega * omega;
+}
+
 } // namespace
 
 size_t
@@ -51,10 +64,9 @@ ExecSchedule::bytes() const
            vecBytes(fillCycles) + vecBytes(writeOutRow) +
            vecBytes(streamCycles) + vecBytes(memCycles) +
            vecBytes(streamBytes) + vecBytes(streamedRows) +
-           vecBytes(spmmMemCycles) + vecBytes(xValid) + vecBytes(xOff) +
-           vecBytes(validRows) + vecBytes(chainCycles) +
-           vecBytes(rowBegin) + vecBytes(rowIndex) + vecBytes(rowUseful) +
-           vecBytes(values) + vecBytes(groupBegin);
+           vecBytes(spmmMemCycles) + vecBytes(xOff) +
+           vecBytes(chainCycles) + vecBytes(rowBegin) +
+           vecBytes(rowIndex) + vecBytes(values);
 }
 
 ExecSchedule
@@ -68,7 +80,6 @@ compileSchedule(const LocallyDenseMatrix &ld, const ConfigTable &table,
 
     const Index omega = params.omega;
     const Index rows = ld.rows();
-    const Index cols = ld.cols();
     const bool spmv = table.kernel() == KernelType::SpMV;
     const bool backward = table.direction() == GsSweep::Backward;
     const MemoryModel mem(params);
@@ -94,15 +105,12 @@ compileSchedule(const LocallyDenseMatrix &ld, const ConfigTable &table,
     s.streamBytes.resize(P, 0);
     s.streamedRows.resize(P, 0);
     s.spmmMemCycles.resize(P, 0);
-    s.xValid.resize(P, 0);
     s.xOff.resize(P, 0);
-    s.validRows.resize(P, 0);
     s.chainCycles.resize(P, 0);
     s.rowBegin.resize(P + 1, 0);
 
     bool filled = false;
     int64_t curRow = -1;
-    bool monotonic = true;
 
     for (size_t i = 0; i < P; ++i) {
         const ConfigEntry &e = table.entries()[i];
@@ -146,8 +154,6 @@ compileSchedule(const LocallyDenseMatrix &ld, const ConfigTable &table,
                 // Out-chunk writeback on block-row change.
                 if (int64_t(blk.blockRow) != curRow) {
                     s.writeOutRow[i] = curRow;
-                    if (curRow >= 0 && int64_t(blk.blockRow) < curRow)
-                        monotonic = false;
                     curRow = blk.blockRow;
                 }
                 s.operandVec[i] = CacheVec::Xt;
@@ -156,10 +162,7 @@ compileSchedule(const LocallyDenseMatrix &ld, const ConfigTable &table,
                                       ? CacheVec::Xt
                                       : CacheVec::Xprev;
             }
-            Index c0 = blk.blockCol * omega;
-            s.xValid[i] =
-                Index(std::min<int64_t>(omega, int64_t(cols) - c0));
-            s.xOff[i] = c0;
+            s.xOff[i] = blk.blockCol * omega;
 
             Index occupied = 0;
             for (Index lr = 0; lr < omega; ++lr) {
@@ -183,7 +186,6 @@ compileSchedule(const LocallyDenseMatrix &ld, const ConfigTable &table,
                 }
                 ++occupied;
                 s.rowIndex.push_back(r);
-                s.rowUseful.push_back(useful);
                 s.parFlops += 2.0 * useful;
                 s.usefulBytes += double(useful) * sizeof(Value);
                 s.fcuOps.mul += double(omega);
@@ -218,7 +220,6 @@ compileSchedule(const LocallyDenseMatrix &ld, const ConfigTable &table,
             s.xOff[i] = r0;
             Index validRows = Index(
                 std::min<int64_t>(omega, int64_t(rows) - int64_t(r0)));
-            s.validRows[i] = validRows;
             uint64_t blkBytes = uint64_t(blk.size) * sizeof(Value);
             s.streamCycles[i] =
                 std::max<uint64_t>(omega, mem.streamCycles(blkBytes));
@@ -254,7 +255,6 @@ compileSchedule(const LocallyDenseMatrix &ld, const ConfigTable &table,
                         ++useful;
                 }
                 s.rowIndex.push_back(r);
-                s.rowUseful.push_back(useful);
                 s.fcuOps.mul += double(omega);
                 s.fcuOps.alu += double(omega);
                 s.fcuOps.reduce += double(omega);
@@ -266,26 +266,10 @@ compileSchedule(const LocallyDenseMatrix &ld, const ConfigTable &table,
         }
     }
     s.rowBegin[P] = s.rowIndex.size();
-    // The staged operand covers the SpMV operand (cols entries) or the
-    // SymGS iterate (rows entries), rounded up to whole chunks.
-    Index operandLen = spmv ? cols : std::max(rows, cols);
-    s.paddedOperand =
-        size_t((operandLen + omega - 1) / omega) * omega;
+    s.paddedOperand = paddedOperandLength(ld, s.kernel, omega);
     s.finalOutRow = spmv ? curRow : -1;
     if (P > 0)
         s.lastDp = s.dp[P - 1];
-
-    // Block-row groups: maximal runs of paths sharing a block row.
-    // When block rows never decrease, each output row belongs to
-    // exactly one group, so groups may execute in parallel.
-    s.groupBegin.push_back(0);
-    for (size_t i = 1; i < P; ++i) {
-        if (s.blockRow[i] != s.blockRow[i - 1])
-            s.groupBegin.push_back(i);
-    }
-    if (P > 0)
-        s.groupBegin.push_back(P);
-    s.parallelSafe = spmv && monotonic;
 
     // Row-layout shape for the replay specialization: when no GEMV
     // path skipped a row (skipEmptyBlockRows never fired inside a
@@ -308,6 +292,28 @@ compileSchedule(const LocallyDenseMatrix &ld, const ConfigTable &table,
     // call fully resolved kernels.
     replay::specialize(s, params);
     return s;
+}
+
+bool
+scheduleFits(const ExecSchedule &s, const LocallyDenseMatrix &ld,
+             const ConfigTable &table)
+{
+    if (s.kernel != table.kernel() || s.omega != ld.omega() ||
+        s.pathCount != table.entries().size() ||
+        s.paddedOperand != paddedOperandLength(ld, s.kernel, s.omega))
+        return false;
+    const uint64_t omega = s.omega;
+    for (size_t i = 0; i < s.pathCount; ++i) {
+        if (uint64_t(s.xOff[i]) + omega > s.paddedOperand)
+            return false;
+        const uint64_t r0 = uint64_t(s.blockRow[i]) * omega;
+        for (size_t rr = s.rowBegin[i]; rr < s.rowBegin[i + 1]; ++rr) {
+            const uint64_t r = s.rowIndex[rr];
+            if (r >= ld.rows() || r < r0 || r - r0 >= omega)
+                return false;
+        }
+    }
+    return true;
 }
 
 GraphPlan

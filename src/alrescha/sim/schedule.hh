@@ -86,8 +86,6 @@ struct ExecSchedule
     std::vector<Index> streamedRows;
     /** SpMM memory-side stream cycles (streamedRows * omega doubles). */
     std::vector<uint64_t> spmmMemCycles;
-    /** Valid lanes of the operand-chunk gather (bounds hoisted). */
-    std::vector<Index> xValid;
     /**
      * Gather plan: element offset of path i's operand chunk inside the
      * chunk-padded operand staging buffer (blockCol * omega, hoisted).
@@ -95,30 +93,19 @@ struct ExecSchedule
      * full-width, in-bounds load -- no per-lane tail handling.
      */
     std::vector<uint32_t> xOff;
-    /** D-SymGS diagonal paths: rows below the matrix edge. */
-    std::vector<Index> validRows;
     /** D-SymGS diagonal paths: serialized chain cycles. */
     std::vector<uint64_t> chainCycles;
     /** Row-record range of path i: [rowBegin[i], rowBegin[i+1]). */
     std::vector<size_t> rowBegin;
 
     // ---- row records (one per occupied row / diagonal chain step) ----
-    std::vector<Index> rowIndex;  ///< global output row
-    std::vector<Index> rowUseful; ///< non-zero lanes (diagnostics)
+    std::vector<Index> rowIndex; ///< global output row
     /** Gathered block values, omega per record, in lane order; the
      *  diagonal lane of D-SymGS chain records is pre-zeroed exactly as
      *  the reference model zeroes it.  64-byte-aligned so the ω-specialized
      *  replay kernels load whole records at full width (a record is one
      *  cache line at the paper's ω = 8). */
     AlignedValueVector values;
-
-    // ---- block-row groups (independent GEMV path ranges) ----
-    /** Path range of group g: [groupBegin[g], groupBegin[g+1]).  Two
-     *  groups never share an output row when parallelSafe. */
-    std::vector<size_t> groupBegin;
-    /** Block rows were non-decreasing, so groups touch disjoint output
-     *  rows and the functional pass may run them in parallel. */
-    bool parallelSafe = false;
 
     // ---- stamped replay specialization (replay::specialize) ----
     /**
@@ -174,6 +161,19 @@ struct ExecSchedule
 ExecSchedule compileSchedule(const LocallyDenseMatrix &ld,
                              const ConfigTable &table,
                              const AccelParams &params);
+
+/**
+ * Whether @p s replays against @p ld and @p table without an
+ * out-of-bounds access: kernel, ω and path count match, the staged
+ * operand length is the one compileSchedule derives for @p ld, every
+ * operand chunk fits inside it, and every row record lies inside its
+ * path's block row and inside the matrix.  A restored schedule is
+ * outside input (its file checksum is unkeyed), so the engine checks
+ * it before the first replay; @p s must have passed
+ * deserializeSchedule's structural checks.
+ */
+bool scheduleFits(const ExecSchedule &s, const LocallyDenseMatrix &ld,
+                  const ConfigTable &table);
 
 /**
  * Occupancy plan of a locally-dense matrix: the non-zero pattern of

@@ -1,5 +1,6 @@
 #include "alrescha/sim/schedule_io.hh"
 
+#include <algorithm>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
@@ -37,18 +38,13 @@ serializeSchedule(std::ostream &out, const ExecSchedule &s)
     bio::writeVec(out, s.streamBytes);
     bio::writeVec(out, s.streamedRows);
     bio::writeVec(out, s.spmmMemCycles);
-    bio::writeVec(out, s.xValid);
     bio::writeVec(out, s.xOff);
-    bio::writeVec(out, s.validRows);
     bio::writeVec(out, s.chainCycles);
     bio::writeVec(out, s.rowBegin);
 
     bio::writeVec(out, s.rowIndex);
-    bio::writeVec(out, s.rowUseful);
     bio::writeVec(out, s.values);
 
-    bio::writeVec(out, s.groupBegin);
-    bio::writePod<uint8_t>(out, s.parallelSafe ? 1 : 0);
     bio::writePod<uint8_t>(out, s.contiguousRows ? 1 : 0);
 
     bio::writePod<int64_t>(out, s.finalOutRow);
@@ -95,18 +91,13 @@ deserializeSchedule(std::istream &in)
     bio::readVecInto(in, s.streamBytes);
     bio::readVecInto(in, s.streamedRows);
     bio::readVecInto(in, s.spmmMemCycles);
-    bio::readVecInto(in, s.xValid);
     bio::readVecInto(in, s.xOff);
-    bio::readVecInto(in, s.validRows);
     bio::readVecInto(in, s.chainCycles);
     bio::readVecInto(in, s.rowBegin);
 
     bio::readVecInto(in, s.rowIndex);
-    bio::readVecInto(in, s.rowUseful);
     bio::readVecInto(in, s.values);
 
-    bio::readVecInto(in, s.groupBegin);
-    s.parallelSafe = bio::readPod<uint8_t>(in) != 0;
     s.contiguousRows = bio::readPod<uint8_t>(in) != 0;
 
     s.finalOutRow = bio::readPod<int64_t>(in);
@@ -144,9 +135,18 @@ deserializeSchedule(std::istream &in)
     check(s.fillCycles.size() == s.pathCount);
     check(s.writeOutRow.size() == s.pathCount);
     check(s.streamCycles.size() == s.pathCount);
+    check(s.memCycles.size() == s.pathCount);
+    check(s.streamBytes.size() == s.pathCount);
+    check(s.streamedRows.size() == s.pathCount);
+    check(s.spmmMemCycles.size() == s.pathCount);
+    check(s.xOff.size() == s.pathCount);
+    check(s.chainCycles.size() == s.pathCount);
     check(s.rowBegin.size() == s.pathCount + (s.pathCount ? 1 : 0));
-    if (!s.rowBegin.empty())
+    if (!s.rowBegin.empty()) {
+        check(s.rowBegin.front() == 0);
+        check(std::is_sorted(s.rowBegin.begin(), s.rowBegin.end()));
         check(s.rowBegin.back() == s.rowIndex.size());
+    }
     check(s.values.size() == s.rowIndex.size() * size_t(s.omega));
     for (DataPathType dp : s.dp) {
         check(dp <= DataPathType::DPr);
@@ -158,7 +158,7 @@ uint64_t
 scheduleParamsFingerprint(const AccelParams &p)
 {
     // Only the schedule-shaping knobs participate; see the header for
-    // why thread counts and SIMD/specialization modes are excluded.
+    // why the SIMD mode and the cache capacity are excluded.
     uint64_t h = hash::kFnvOffset;
     h = hash::fnv1aPod(p.omega, h);
     h = hash::fnv1aPod(p.clockGhz, h);

@@ -6,8 +6,8 @@
  * next to the program image lets a warm start replay with zero
  * compileSchedule calls.
  *
- * What round-trips: every per-path vector, row record, block-row group
- * boundary, and per-run constant -- the complete compiled state.  What
+ * What round-trips: every per-path vector, row record, and per-run
+ * constant -- the complete compiled state.  What
  * does not: the stamped replay entry points (fns), which are
  * process-local function pointers; the loader
  * re-stamps them through replay::specialize, so a restored schedule is
@@ -44,10 +44,11 @@ ExecSchedule deserializeSchedule(std::istream &in);
 /**
  * Digest of the AccelParams fields a compiled schedule's contents
  * depend on (block width, latencies, bandwidth, reorder/skip knobs).
- * Thread counts, SIMD mode, and the specialization knob are excluded:
- * they only affect the re-stamped entry points, never the serialized
- * state.  A persisted cache whose fingerprint differs from the loading
- * engine's params is stale and is recompiled instead.
+ * The SIMD mode is excluded: it only picks the re-stamped entry
+ * points, never the serialized state; the schedule-cache capacity
+ * sizes the cache, not its entries.  A persisted cache whose
+ * fingerprint differs from the loading engine's params is stale and is
+ * recompiled instead.
  */
 uint64_t scheduleParamsFingerprint(const AccelParams &params);
 

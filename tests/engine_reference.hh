@@ -17,7 +17,8 @@
  * The free functions at the end drive the reference on an
  * Accelerator's encoded matrix and tables, the way the Accelerator
  * drives its own engine, for accelerator-level comparisons (symmetric
- * sweeps, PCG).
+ * sweeps, PCG); GlobalPoolScope sizes the host pool a case
+ * preprocesses on.
  */
 
 #ifndef ALR_TESTS_ENGINE_REFERENCE_HH
@@ -40,6 +41,7 @@
 #include "alrescha/sim/rcu.hh"
 #include "common/logging.hh"
 #include "common/stats.hh"
+#include "common/thread_pool.hh"
 #include "common/timeline.hh"
 #include "kernels/pcg.hh"
 
@@ -1064,6 +1066,25 @@ pcg(ReferenceEngine &ref, const Accelerator &acc, const DenseVector &b,
     }
     return pcgSolveWith(kernels, b, acc.matrix().rows(), opts);
 }
+
+/**
+ * Sizes the process-wide host pool (the one that encodes and converts
+ * every matrix) for a scope, then restores the ALR_THREADS default.
+ * 0 keeps the default.  Engine runs execute on their caller at any
+ * size, so equivalence suites sweep it to show that preprocessing on
+ * any pool feeds the same bit-identical replay.
+ */
+class GlobalPoolScope
+{
+  public:
+    explicit GlobalPoolScope(int threads)
+    {
+        ThreadPool::setGlobalThreadCount(threads);
+    }
+    ~GlobalPoolScope() { ThreadPool::setGlobalThreadCount(0); }
+    GlobalPoolScope(const GlobalPoolScope &) = delete;
+    GlobalPoolScope &operator=(const GlobalPoolScope &) = delete;
+};
 
 } // namespace alr::testref
 

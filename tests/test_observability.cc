@@ -15,6 +15,7 @@
 
 #include "alrescha/accelerator.hh"
 #include "alrescha/multi.hh"
+#include "alrescha/serve.hh"
 #include "common/json.hh"
 #include "common/stats.hh"
 #include "common/timeline.hh"
@@ -555,16 +556,24 @@ TEST(Timeline, ExportStreamsWrappedRingOldestFirst)
 
 TEST(Timeline, ParallelEngineWorkersRecordSafely)
 {
+    // Serve workers are the concurrent producers of host spans: three
+    // of them drain a mixed trace with the recorder on.
+    ServeFleet fleet;
+    fleet.add("a", gen::stencil2d(32, 32, 5), true);
+    fleet.add("b", gen::stencil2d(24, 24, 9), true);
+    fleet.add("c", gen::stencil2d(16, 16, 5), false);
+    TraceParams tp;
+    tp.requests = 60;
+    std::vector<ServeRequest> trace = generateTrace(tp, fleet.pdeMask());
+    ServeConfig cfg;
+    cfg.threads = 3;
+    cfg.batchWindow = 4;
+    cfg.pcgIterations = 4;
     timeline::reset();
     timeline::setEnabled(true);
-    AccelParams params;
-    params.engineThreads = 3;
-    Accelerator acc(params);
-    acc.loadSpmvOnly(gen::stencil2d(32, 32, 5));
-    DenseVector x(1024, 1.0);
-    for (int i = 0; i < 4; ++i)
-        acc.spmv(x);
+    ServeResult res = serve(fleet, trace, cfg);
     timeline::setEnabled(false);
+    ASSERT_EQ(res.completed, trace.size());
 
     // Host spans land on per-thread tracks; per track, spans close in
     // wall-clock order, so end timestamps are monotone (a torn or
@@ -585,5 +594,6 @@ TEST(Timeline, ParallelEngineWorkersRecordSafely)
         lastEnd[ev.tid] = end;
         ++hostSpans;
     }
-    EXPECT_GE(hostSpans, 4u); // at least one per run
+    EXPECT_GE(hostSpans, res.workItems); // at least one per work item
+    timeline::reset();
 }

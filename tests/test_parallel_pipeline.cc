@@ -107,15 +107,15 @@ TEST(ParallelPipeline, AcceleratorLoadMatchesAcrossHostThreads)
     Rng rng(13);
     CsrMatrix spd = gen::randomSpd(160, 5, rng);
 
-    AccelParams p1;
-    p1.hostThreads = 1;
-    Accelerator serial(p1);
+    // Accelerator loads preprocess on the process-wide pool.
+    Accelerator serial;
+    ThreadPool::setGlobalThreadCount(1);
     serial.loadPde(spd);
 
-    AccelParams p8;
-    p8.hostThreads = 8;
-    Accelerator parallel(p8);
+    Accelerator parallel;
+    ThreadPool::setGlobalThreadCount(8);
     parallel.loadPde(spd);
+    ThreadPool::setGlobalThreadCount(0); // back to the default
 
     EXPECT_EQ(serializeLd(serial.matrix()),
               serializeLd(parallel.matrix()));

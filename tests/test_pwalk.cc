@@ -3,9 +3,9 @@
  * Timing walk tests: the scheduled engine (functional replay plus the
  * in-order timing walk) must be bit-identical to the per-entry
  * reference model (engine_reference.hh) -- results, cycle counts, full
- * stat dumps, profile buckets, and modeled timeline events -- at every
- * engine pool size, inline (one thread) and on the process-wide pool
- * (engineThreads = 0), and across cache geometries and exposed
+ * stat dumps, profile buckets, and modeled timeline events -- with the
+ * matrix preprocessed on host pools of 1 to 8 workers and on the
+ * default pool, and across cache geometries and exposed
  * reconfiguration costs.  Plus the profiler conservation invariant.
  */
 
@@ -31,11 +31,10 @@ using testref::statDump;
 namespace {
 
 AccelParams
-makeParams(Index omega, int threads)
+makeParams(Index omega)
 {
     AccelParams p;
     p.omega = omega;
-    p.engineThreads = threads;
     return p;
 }
 
@@ -131,22 +130,26 @@ expectSameModeledEvents(const std::vector<timeline::Event> &a,
 struct Case
 {
     Index omega;
-    int threads;
+    /** Process-wide host pool size the case encodes and converts on
+     *  (0: the ALR_THREADS default); the "_t" of the test name. */
+    int poolThreads;
     uint64_t seed;
 };
 
 class PwalkEquivalence : public ::testing::TestWithParam<Case>
 {
+  protected:
+    testref::GlobalPoolScope _pool{GetParam().poolThreads};
 };
 
 } // namespace
 
 // ---------------------------------------------------------------------
-// Bit-identity sweep: the scheduled engine inline, at pool sizes
-// 2/4/8, and on the process-wide pool must reproduce the reference
-// model exactly -- results, all three cycle counters, and the entire
-// serialized stat dump -- with cache and switch state carried across
-// repeated runs.
+// Bit-identity sweep: the scheduled engine must reproduce the
+// reference model exactly -- results, all three cycle counters, and
+// the entire serialized stat dump -- with cache and switch state
+// carried across repeated runs, whatever host pool preprocessed the
+// matrix.
 
 TEST_P(PwalkEquivalence, SpmvBitIdentical)
 {
@@ -157,8 +160,8 @@ TEST_P(PwalkEquivalence, SpmvBitIdentical)
         LocallyDenseMatrix::encode(a, c.omega, LdLayout::Plain);
     ConfigTable table = ConfigTable::convert(KernelType::SpMV, ld);
 
-    ReferenceEngine ser(makeParams(c.omega, 1));
-    Engine par(makeParams(c.omega, c.threads));
+    ReferenceEngine ser(makeParams(c.omega));
+    Engine par(makeParams(c.omega));
     ser.program(&ld, &table);
     par.program(&ld, &table);
 
@@ -185,8 +188,8 @@ TEST_P(PwalkEquivalence, SpmmBitIdentical)
         LocallyDenseMatrix::encode(a, c.omega, LdLayout::Plain);
     ConfigTable table = ConfigTable::convert(KernelType::SpMV, ld);
 
-    ReferenceEngine ser(makeParams(c.omega, 1));
-    Engine par(makeParams(c.omega, c.threads));
+    ReferenceEngine ser(makeParams(c.omega));
+    Engine par(makeParams(c.omega));
     ser.program(&ld, &table);
     par.program(&ld, &table);
 
@@ -217,8 +220,8 @@ TEST_P(PwalkEquivalence, SymgsBitIdentical)
     ConfigTable bwd = ConfigTable::convert(KernelType::SymGS, ld, true,
                                            GsSweep::Backward);
 
-    ReferenceEngine ser(makeParams(c.omega, 1));
-    Engine par(makeParams(c.omega, c.threads));
+    ReferenceEngine ser(makeParams(c.omega));
+    Engine par(makeParams(c.omega));
 
     DenseVector b(a.rows(), 1.0);
     DenseVector xs(a.rows(), 0.0), xp(a.rows(), 0.0);
@@ -248,8 +251,8 @@ TEST_P(PwalkEquivalence, MixedKernelsShareState)
     ConfigTable fwd = ConfigTable::convert(KernelType::SymGS, ld, true,
                                            GsSweep::Forward);
 
-    ReferenceEngine ser(makeParams(c.omega, 1));
-    Engine par(makeParams(c.omega, c.threads));
+    ReferenceEngine ser(makeParams(c.omega));
+    Engine par(makeParams(c.omega));
 
     DenseVector b(a.rows(), 0.5);
     DenseVector xs(a.rows(), 0.0), xp(a.rows(), 0.0);
@@ -290,7 +293,7 @@ TEST_P(PwalkEquivalence, ProfileBucketsIdenticalAndConserved)
     auto runProfiled = [&](bool reference, const char *kernel,
                            uint64_t *cycles, double *bytes) {
         profile::reset();
-        AccelParams params = makeParams(c.omega, reference ? 1 : c.threads);
+        AccelParams params = makeParams(c.omega);
         Accelerator acc(params);
         ReferenceEngine ref(params);
         if (std::strcmp(kernel, "spmv") == 0) {
@@ -320,8 +323,7 @@ TEST_P(PwalkEquivalence, ProfileBucketsIdenticalAndConserved)
         profile::Snapshot ss = runProfiled(true, kernel, &cs, &bs);
         profile::Snapshot sp = runProfiled(false, kernel, &cp, &bp);
         std::string what = std::string(kernel) + " omega " +
-                           std::to_string(c.omega) + " threads " +
-                           std::to_string(c.threads);
+                           std::to_string(c.omega);
         expectSameBuckets(ss, sp, what);
         EXPECT_EQ(cs, cp) << what;
         EXPECT_EQ(sp.attributedCycles, cp) << what;
@@ -361,15 +363,17 @@ TEST_P(PwalkEquivalence, ModeledTimelineIdentical)
         return modeledEvents();
     };
 
-    ReferenceEngine ref(makeParams(c.omega, 1));
-    Engine eng(makeParams(c.omega, c.threads));
+    ReferenceEngine ref(makeParams(c.omega));
+    Engine eng(makeParams(c.omega));
     std::vector<timeline::Event> ser = capture(ref);
     std::vector<timeline::Event> par = capture(eng);
     ASSERT_GT(ser.size(), 0u);
     expectSameModeledEvents(ser, par,
-                            "threads " + std::to_string(c.threads));
+                            "omega " + std::to_string(c.omega));
 }
 
+// "OmegaThreads" and the "_t" suffix predate the engine thread knob's
+// removal; they stay so that test ids stay comparable across history.
 INSTANTIATE_TEST_SUITE_P(
     OmegaThreads, PwalkEquivalence,
     ::testing::Values(Case{4, 1, 21}, Case{4, 2, 22}, Case{4, 4, 23},
@@ -383,7 +387,7 @@ INSTANTIATE_TEST_SUITE_P(
         std::string name = "w";
         name += std::to_string(info.param.omega);
         name += "_t";
-        name += std::to_string(info.param.threads);
+        name += std::to_string(info.param.poolThreads);
         return name;
     });
 
@@ -418,7 +422,7 @@ TEST_P(PwalkCacheGeometry, AllKernelsBitIdentical)
 {
     const Geometry g = GetParam();
     const std::string what = geometryName(g);
-    AccelParams params = makeParams(8, 1);
+    AccelParams params = makeParams(8);
     params.cacheBytes = g.cacheBytes;
     params.configCycles = g.configCycles;
 

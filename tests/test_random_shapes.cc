@@ -42,11 +42,10 @@ ragged(Rng &rng, Index omega)
 }
 
 AccelParams
-makeParams(Index omega, int threads)
+makeParams(Index omega)
 {
     AccelParams p;
     p.omega = omega;
-    p.engineThreads = threads;
     return p;
 }
 
@@ -157,15 +156,12 @@ randomSpdSystem(Rng &rng, Index n)
 }
 
 std::string
-shapeName(uint64_t seed, Index omega, int threads, const CsrMatrix &a,
-          size_t k)
+shapeName(uint64_t seed, Index omega, const CsrMatrix &a, size_t k)
 {
     std::string s = "seed ";
     s += std::to_string(seed);
     s += " omega ";
     s += std::to_string(omega);
-    s += " threads ";
-    s += std::to_string(threads);
     s += " shape ";
     s += std::to_string(a.rows());
     s += "x";
@@ -186,17 +182,16 @@ TEST(RandomShapes, SpmvAndSpmmMatchReferenceAndGolden)
     for (uint64_t seed = 1; seed <= 48; ++seed) {
         Rng rng(seed * 7919);
         const Index omega = kOmegas[seed % 4];
-        const int threads = seed % 3 == 0 ? 4 : 1;
         const size_t k = seed % 2 ? 3 : 1;
         CsrMatrix a = randomRectangular(rng, ragged(rng, omega),
                                         ragged(rng, omega));
-        SCOPED_TRACE(shapeName(seed, omega, threads, a, k));
+        SCOPED_TRACE(shapeName(seed, omega, a, k));
 
         LocallyDenseMatrix ld =
             LocallyDenseMatrix::encode(a, omega, LdLayout::Plain);
         ConfigTable table = ConfigTable::convert(KernelType::SpMV, ld);
-        ReferenceEngine ref(makeParams(omega, 1));
-        Engine eng(makeParams(omega, threads));
+        ReferenceEngine ref(makeParams(omega));
+        Engine eng(makeParams(omega));
         ref.program(&ld, &table);
         eng.program(&ld, &table);
 
@@ -243,9 +238,8 @@ TEST(RandomShapes, SymgsSweepsMatchReferenceAndGolden)
     for (uint64_t seed = 1; seed <= 32; ++seed) {
         Rng rng(seed * 104729);
         const Index omega = kOmegas[seed % 4];
-        const int threads = seed % 3 == 0 ? 4 : 1;
         CsrMatrix a = randomSpdSystem(rng, ragged(rng, omega));
-        SCOPED_TRACE(shapeName(seed, omega, threads, a, 0));
+        SCOPED_TRACE(shapeName(seed, omega, a, 0));
 
         LocallyDenseMatrix ld =
             LocallyDenseMatrix::encode(a, omega, LdLayout::SymGs);
@@ -253,8 +247,8 @@ TEST(RandomShapes, SymgsSweepsMatchReferenceAndGolden)
                                                GsSweep::Forward);
         ConfigTable bwd = ConfigTable::convert(KernelType::SymGS, ld, true,
                                                GsSweep::Backward);
-        ReferenceEngine ref(makeParams(omega, 1));
-        Engine eng(makeParams(omega, threads));
+        ReferenceEngine ref(makeParams(omega));
+        Engine eng(makeParams(omega));
 
         DenseVector b = randomVector(rng, a.rows());
         DenseVector x0 = randomVector(rng, a.rows());

@@ -46,7 +46,6 @@ makeParams(Index omega, SimdMode mode)
 {
     AccelParams p;
     p.omega = omega;
-    p.engineThreads = 1;
     p.simdMode = mode;
     return p;
 }

@@ -5,7 +5,7 @@
  * reference model (engine_reference.hh) bit for bit -- results, cycle
  * counts, and the entire serialized stat dump -- across omegas,
  * matrices, repeated runs (cross-run cache and switch state), and
- * functional-pass thread counts.  Plus unit tests for the
+ * host pool sizes.  Plus unit tests for the
  * payload-position LUT and the schedule cache (reuse, invalidation,
  * eviction).
  */
@@ -30,11 +30,10 @@ using testref::statDump;
 namespace {
 
 AccelParams
-makeParams(Index omega, int threads, bool simd = true)
+makeParams(Index omega, bool simd = true)
 {
     AccelParams p;
     p.omega = omega;
-    p.engineThreads = threads;
     p.simdMode = simd ? SimdMode::Auto : SimdMode::Scalar;
     return p;
 }
@@ -50,24 +49,30 @@ expectTimingEq(const RunTiming &a, const RunTiming &b, const char *what)
 struct Case
 {
     Index omega;
-    int threads;
+    /** Process-wide host pool size the case encodes and converts on
+     *  (0: the ALR_THREADS default). */
+    int poolThreads;
     uint64_t seed;
 };
 
 class ScheduleEquivalence : public ::testing::TestWithParam<Case>
 {
+  protected:
+    testref::GlobalPoolScope _pool{GetParam().poolThreads};
 };
 
-/** Test-name suffix "w<omega>_t<threads>".  Appended piecewise:
- *  "w" + std::to_string(...) trips a GCC 12 -Wrestrict false positive
- *  at -O2. */
+/** Test-name suffix "w<omega>_t<poolThreads>".  The suite prefix
+ *  "OmegaThreads" and the "_t" predate the engine thread knob's
+ *  removal; they keep test ids comparable across history.  Appended
+ *  piecewise: "w" + std::to_string(...) trips a GCC 12 -Wrestrict
+ *  false positive at -O2. */
 std::string
 caseName(const ::testing::TestParamInfo<Case> &info)
 {
     std::string name = "w";
     name += std::to_string(info.param.omega);
     name += "_t";
-    name += std::to_string(info.param.threads);
+    name += std::to_string(info.param.poolThreads);
     return name;
 }
 
@@ -82,8 +87,8 @@ TEST_P(ScheduleEquivalence, SpmvBitIdentical)
         LocallyDenseMatrix::encode(a, c.omega, LdLayout::Plain);
     ConfigTable table = ConfigTable::convert(KernelType::SpMV, ld);
 
-    ReferenceEngine ref(makeParams(c.omega, 1));
-    Engine sch(makeParams(c.omega, c.threads));
+    ReferenceEngine ref(makeParams(c.omega));
+    Engine sch(makeParams(c.omega));
     ref.program(&ld, &table);
     sch.program(&ld, &table);
 
@@ -111,8 +116,8 @@ TEST_P(ScheduleEquivalence, SpmmBitIdentical)
         LocallyDenseMatrix::encode(a, c.omega, LdLayout::Plain);
     ConfigTable table = ConfigTable::convert(KernelType::SpMV, ld);
 
-    ReferenceEngine ref(makeParams(c.omega, 1));
-    Engine sch(makeParams(c.omega, c.threads));
+    ReferenceEngine ref(makeParams(c.omega));
+    Engine sch(makeParams(c.omega));
     ref.program(&ld, &table);
     sch.program(&ld, &table);
 
@@ -143,8 +148,8 @@ TEST_P(ScheduleEquivalence, SymgsBitIdentical)
     ConfigTable bwd = ConfigTable::convert(KernelType::SymGS, ld, true,
                                            GsSweep::Backward);
 
-    ReferenceEngine ref(makeParams(c.omega, 1));
-    Engine sch(makeParams(c.omega, c.threads));
+    ReferenceEngine ref(makeParams(c.omega));
+    Engine sch(makeParams(c.omega));
 
     DenseVector b(a.rows(), 1.0);
     DenseVector xr(a.rows(), 0.0), xs(a.rows(), 0.0);
@@ -177,8 +182,8 @@ TEST_P(ScheduleEquivalence, MixedKernelsShareState)
     ConfigTable fwd = ConfigTable::convert(KernelType::SymGS, ld, true,
                                            GsSweep::Forward);
 
-    ReferenceEngine ref(makeParams(c.omega, 1));
-    Engine sch(makeParams(c.omega, c.threads));
+    ReferenceEngine ref(makeParams(c.omega));
+    Engine sch(makeParams(c.omega));
 
     DenseVector b(a.rows(), 0.5);
     DenseVector xr(a.rows(), 0.0), xs(a.rows(), 0.0);
@@ -212,7 +217,7 @@ TEST(ScheduleEquivalence, PcgFullSolveBitIdentical)
     Rng rng(42);
     CsrMatrix a = gen::stencil2d(12, 12);
 
-    AccelParams p = makeParams(8, 1);
+    AccelParams p = makeParams(8);
     Accelerator sch(p);
     sch.loadPde(a);
     ReferenceEngine ref(p);
@@ -292,7 +297,7 @@ TEST(ScheduleCache, CompiledOnceAcrossRuns)
         LocallyDenseMatrix::encode(a, 8, LdLayout::Plain);
     ConfigTable table = ConfigTable::convert(KernelType::SpMV, ld);
 
-    Engine e(makeParams(8, 1));
+    Engine e(makeParams(8));
     e.program(&ld, &table);
     EXPECT_EQ(e.scheduleCompiles(), 0u);
     DenseVector x(a.cols(), 1.0);
@@ -317,7 +322,7 @@ TEST(ScheduleCache, DistinctTablesGetDistinctSchedules)
     ConfigTable bwd = ConfigTable::convert(KernelType::SymGS, ld, true,
                                            GsSweep::Backward);
 
-    Engine e(makeParams(8, 1));
+    Engine e(makeParams(8));
     DenseVector b(a.rows(), 1.0), x(a.rows(), 0.0);
     for (int i = 0; i < 3; ++i) {
         e.program(&ld, &fwd);
@@ -334,7 +339,7 @@ TEST(ScheduleCache, InvalidatedOnReload)
 {
     Rng rng(9);
     CsrMatrix a = gen::stencil2d(8, 8);
-    Accelerator acc(makeParams(8, 1));
+    Accelerator acc(makeParams(8));
     acc.loadPde(a);
     DenseVector x(a.cols(), 1.0);
     acc.spmv(x);
@@ -360,7 +365,7 @@ TEST(ScheduleCache, EvictsBeyondCapacity)
     for (int i = 0; i < 10; ++i)
         tables.push_back(ConfigTable::convert(KernelType::SpMV, ld));
 
-    Engine e(makeParams(8, 1));
+    Engine e(makeParams(8));
     DenseVector x(a.cols(), 1.0);
     for (auto &t : tables) {
         e.program(&ld, &t);
@@ -398,7 +403,7 @@ TEST(ScheduleCache, ReassignedObjectsDoNotAliasStaleSchedules)
         LocallyDenseMatrix::encode(a, 8, LdLayout::Plain);
     ConfigTable table = ConfigTable::convert(KernelType::SpMV, ld);
 
-    Engine e(makeParams(8, 1));
+    Engine e(makeParams(8));
     e.program(&ld, &table);
     DenseVector x(a.cols(), 1.0);
     DenseVector y1 = e.runSpmv(x);
@@ -413,7 +418,7 @@ TEST(ScheduleCache, ReassignedObjectsDoNotAliasStaleSchedules)
         << "stale schedule served for a rebuilt matrix/table pair";
 
     // The result must be the doubled matrix's, not the cached one's.
-    Engine fresh(makeParams(8, 1));
+    Engine fresh(makeParams(8));
     LocallyDenseMatrix ld2 =
         LocallyDenseMatrix::encode(a2, 8, LdLayout::Plain);
     ConfigTable table2 = ConfigTable::convert(KernelType::SpMV, ld2);
@@ -441,10 +446,9 @@ struct EngineTriple
     Engine scalar;
     Engine simd;
 
-    EngineTriple(Index omega, int threads)
-        : ref(makeParams(omega, 1)),
-          scalar(makeParams(omega, threads, false)),
-          simd(makeParams(omega, threads, true))
+    explicit EngineTriple(Index omega)
+        : ref(makeParams(omega)), scalar(makeParams(omega, false)),
+          simd(makeParams(omega, true))
     {
     }
 
@@ -458,6 +462,8 @@ struct EngineTriple
 
 class SimdReplayEquivalence : public ::testing::TestWithParam<Case>
 {
+  protected:
+    testref::GlobalPoolScope _pool{GetParam().poolThreads};
 };
 
 } // namespace
@@ -473,7 +479,7 @@ TEST_P(SimdReplayEquivalence, SpmvRectangularNonMultipleOfOmega)
         LocallyDenseMatrix::encode(a, c.omega, LdLayout::Plain);
     ConfigTable table = ConfigTable::convert(KernelType::SpMV, ld);
 
-    EngineTriple e(c.omega, c.threads);
+    EngineTriple e(c.omega);
     e.program(&ld, &table);
 
     DenseVector x(a.cols());
@@ -503,7 +509,7 @@ TEST_P(SimdReplayEquivalence, SpmmRegisterBlocked)
         LocallyDenseMatrix::encode(a, c.omega, LdLayout::Plain);
     ConfigTable table = ConfigTable::convert(KernelType::SpMV, ld);
 
-    EngineTriple e(c.omega, c.threads);
+    EngineTriple e(c.omega);
     e.program(&ld, &table);
 
     // k = 5 right-hand sides: odd count, so the register-blocked SpMM
@@ -539,7 +545,7 @@ TEST_P(SimdReplayEquivalence, SymgsSweepsBothDirections)
     ConfigTable bwd = ConfigTable::convert(KernelType::SymGS, ld, true,
                                            GsSweep::Backward);
 
-    EngineTriple e(c.omega, c.threads);
+    EngineTriple e(c.omega);
 
     DenseVector b(a.rows(), 1.0);
     DenseVector xi(a.rows(), 0.0), xc(a.rows(), 0.0), xv(a.rows(), 0.0);
@@ -573,7 +579,7 @@ TEST(SimdReplay, EmptyMatrix)
         LocallyDenseMatrix::encode(a, 8, LdLayout::Plain);
     ConfigTable table = ConfigTable::convert(KernelType::SpMV, ld);
 
-    EngineTriple e(8, 2);
+    EngineTriple e(8);
     e.program(&ld, &table);
     DenseVector x(16, 3.0);
     DenseVector yi = e.ref.runSpmv(x);
@@ -596,7 +602,7 @@ TEST(SimdReplay, SingleBlockRowSmallerThanOmega)
     ConfigTable fwd = ConfigTable::convert(KernelType::SymGS, ld, true,
                                            GsSweep::Forward);
 
-    EngineTriple e(8, 1);
+    EngineTriple e(8);
     e.program(&ld, &spmv);
     DenseVector x{1.0, -2.0, 3.0, -4.0, 5.0};
     DenseVector y = e.ref.runSpmv(x);
@@ -621,7 +627,7 @@ TEST(SimdReplay, GatherPlanInvariants)
             LocallyDenseMatrix::encode(a, omega, LdLayout::Plain);
         ConfigTable table = ConfigTable::convert(KernelType::SpMV, ld);
         ExecSchedule s =
-            compileSchedule(ld, table, makeParams(omega, 1));
+            compileSchedule(ld, table, makeParams(omega));
 
         // Value records are loadable at full vector width.
         EXPECT_EQ(reinterpret_cast<uintptr_t>(s.values.data()) % 64, 0u);
@@ -636,6 +642,8 @@ TEST(SimdReplay, GatherPlanInvariants)
             }
             EXPECT_LE(size_t(s.xOff[i]) + omega, s.paddedOperand) << i;
         }
+        // The restore-time bounds check accepts every fresh compile.
+        EXPECT_TRUE(scheduleFits(s, ld, table));
     }
 }
 
@@ -663,14 +671,13 @@ TEST(ScheduleCompile, RecordsMatchMatrixShape)
     LocallyDenseMatrix ld =
         LocallyDenseMatrix::encode(a, 8, LdLayout::Plain);
     ConfigTable table = ConfigTable::convert(KernelType::SpMV, ld);
-    AccelParams p = makeParams(8, 1);
+    AccelParams p = makeParams(8);
     ExecSchedule s = compileSchedule(ld, table, p);
 
     EXPECT_EQ(s.pathCount, table.entries().size());
     EXPECT_EQ(s.rowBegin.size(), s.pathCount + 1);
     EXPECT_EQ(s.rowBegin.back(), s.rowIndex.size());
     EXPECT_EQ(s.values.size(), s.rowIndex.size() * size_t(p.omega));
-    EXPECT_TRUE(s.parallelSafe);
     EXPECT_GT(s.parFlops, 0.0);
     EXPECT_GT(s.bytes(), 0u);
     // Every gathered row belongs to its path's block row.

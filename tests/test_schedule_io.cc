@@ -15,6 +15,8 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "alrescha/accelerator.hh"
 #include "alrescha/sim/replay.hh"
@@ -327,8 +329,9 @@ TEST(ScheduleCachePersistence, VersionOneFilesRecompile)
 {
     // Version 1 keyed and checksummed with FNV-1a; version 2 carried
     // the D-SymGS level schedule in its body; version 3 carried the
-    // timing-walk partition boundaries.  None can feed a version 4
-    // engine, so the header gate refuses all three files.
+    // timing-walk partition boundaries; version 4 carried the block-row
+    // group plan and three never-read records.  None can feed a
+    // version 5 engine, so the header gate refuses all four files.
     Problem p(45);
     Engine e(makeParams());
     e.program(&p.ld, &p.table);
@@ -338,9 +341,9 @@ TEST(ScheduleCachePersistence, VersionOneFilesRecompile)
     const std::string current = good.str();
     uint32_t version = 0;
     std::memcpy(&version, current.data() + 4, sizeof(version));
-    EXPECT_EQ(version, 4u);
+    EXPECT_EQ(version, 5u);
 
-    for (uint32_t old_version : {1u, 2u, 3u}) {
+    for (uint32_t old_version : {1u, 2u, 3u, 4u}) {
         SCOPED_TRACE("version " + std::to_string(old_version));
         std::string bytes = current;
         std::memcpy(bytes.data() + 4, &old_version, sizeof(old_version));
@@ -358,6 +361,100 @@ TEST(ScheduleCachePersistence, VersionOneFilesRecompile)
         DenseVector x(same.a.cols(), 1.0);
         EXPECT_EQ(warm.runSpmv(x), e.runSpmv(x));
         EXPECT_EQ(warm.scheduleCompiles(), 1u);
+    }
+}
+
+TEST(ScheduleCachePersistence, CraftedIndicesRecompile)
+{
+    // The body checksum is unkeyed, so a hand-edited cache file with a
+    // recomputed checksum passes every gate of loadScheduleCache.  Its
+    // indices are outside input: a restored schedule whose operand
+    // length, chunk offsets or row indices do not fit the programmed
+    // matrix must be recompiled, never replayed.
+    Problem p(47);
+    AccelParams params = makeParams();
+    Engine cold(params);
+    cold.program(&p.ld, &p.table);
+    DenseVector x(p.a.cols());
+    for (size_t i = 0; i < x.size(); ++i)
+        x[i] = Value(i % 7) - 3.0;
+    const DenseVector want = cold.runSpmv(x);
+    std::stringstream saved;
+    ASSERT_TRUE(cold.saveScheduleCache(saved));
+    const std::string file = saved.str();
+
+    // File layout: a 32-byte header (magic, version, params
+    // fingerprint, body length, body checksum), then the body: a u32
+    // schedule count and a 45-byte content key ahead of the one
+    // serialized schedule, which a fresh compile reproduces exactly.
+    constexpr size_t kHeader = 32, kKey = 4 + 45;
+    const ExecSchedule s = compileSchedule(p.ld, p.table, params);
+    {
+        std::stringstream body;
+        serializeSchedule(body, s);
+        ASSERT_EQ(file.substr(kHeader + kKey), body.str());
+    }
+    ASSERT_GE(s.pathCount, 3u);
+    auto craft = [&](const ExecSchedule &edited) {
+        std::stringstream sched;
+        serializeSchedule(sched, edited);
+        const std::string body = file.substr(kHeader, kKey) + sched.str();
+        const uint64_t len = body.size();
+        const uint64_t sum = hash::words(body.data(), body.size());
+        std::string out = file.substr(0, 16);
+        out.append(reinterpret_cast<const char *>(&len), sizeof(len));
+        out.append(reinterpret_cast<const char *>(&sum), sizeof(sum));
+        return out + body;
+    };
+
+    // Restores cleanly, but does not fit the matrix.
+    std::vector<std::pair<const char *, ExecSchedule>> misfits;
+    misfits.emplace_back("row past the matrix edge and short operand", s);
+    misfits.back().second.rowIndex.back() = p.ld.rows();
+    misfits.back().second.paddedOperand -= s.omega;
+    misfits.emplace_back("operand shorter than x", s);
+    misfits.back().second.paddedOperand -= s.omega;
+    misfits.emplace_back("row past the matrix edge", s);
+    misfits.back().second.rowIndex.back() = p.ld.rows();
+    misfits.emplace_back("row outside its block row", s);
+    misfits.back().second.rowIndex.front() += s.omega;
+    misfits.emplace_back("chunk past the operand", s);
+    misfits.back().second.xOff.back() = uint32_t(s.paddedOperand);
+    for (const auto &[what, edited] : misfits) {
+        SCOPED_TRACE(what);
+        std::stringstream in(craft(edited));
+        Engine warm(params);
+        ASSERT_TRUE(warm.loadScheduleCache(in));
+        ASSERT_EQ(warm.restoredSchedules(), 1u);
+        Problem same(47);
+        warm.program(&same.ld, &same.table);
+        setLogCapture(true);
+        warm.prepareSchedule();
+        const std::string log = setLogCapture(false);
+        // Checked before the first replay, which would follow the
+        // edited indices out of bounds.
+        ASSERT_EQ(warm.scheduleCompiles(), 1u);
+        EXPECT_NE(log.find("does not fit"), std::string::npos) << log;
+        EXPECT_EQ(warm.runSpmv(x), want);
+    }
+
+    // Structurally inconsistent: the parser rejects the whole file.
+    std::vector<std::pair<const char *, ExecSchedule>> corrupt;
+    corrupt.emplace_back("rowBegin not monotone", s);
+    corrupt.back().second.rowBegin[1] = s.rowBegin[2] + 1;
+    corrupt.emplace_back("memCycles short of pathCount", s);
+    corrupt.back().second.memCycles.pop_back();
+    corrupt.emplace_back("xOff short of pathCount", s);
+    corrupt.back().second.xOff.pop_back();
+    for (const auto &[what, edited] : corrupt) {
+        SCOPED_TRACE(what);
+        std::stringstream in(craft(edited));
+        Engine warm(params);
+        setLogCapture(true);
+        EXPECT_FALSE(warm.loadScheduleCache(in));
+        EXPECT_NE(setLogCapture(false).find("inconsistent schedule"),
+                  std::string::npos);
+        EXPECT_EQ(warm.restoredSchedules(), 0u);
     }
 }
 

@@ -283,11 +283,6 @@ main(int argc, char **argv)
         w.key("modeled_cycles").value(fleet.totalCycles());
         w.key("wall_ms").value(res.wallMs);
         w.key("requests_per_sec").value(res.requestsPerSec);
-        w.key("latency_ns").beginObject(true);
-        for (auto [key, p] : {std::pair{"p50", 50.0}, {"p95", 95.0},
-                              {"p99", 99.0}})
-            w.key(key).number(res.latencyNs.percentile(p));
-        w.endObject();
         auto sloBucket = [&w](const SloBucket &b) {
             w.beginObject(true).key("name").value(b.name);
             w.key("requests").value(b.requests).key("good").value(b.good);
@@ -296,8 +291,8 @@ main(int argc, char **argv)
             w.key("p99").value(b.p99).key("p99.9").value(b.p999);
             w.endObject().endObject();
         };
-        // Exact-sample percentiles (not the log2-bucketed latency_ns
-        // block above) plus SLO accounting, overall and per matrix.
+        // Exact-sample latency percentiles plus SLO accounting, overall
+        // and per matrix.
         w.key("slo").beginObject().key("target_us").value(slo.sloUs);
         w.key("objective").value(slo.objective);
         w.key("bad_fraction").value(slo.badFraction());

@@ -20,7 +20,7 @@
  * diff (per-bucket cycle deltas, stat deltas, energy deltas):
  *
  *   alr_sim --gen stencil3d:24 --kernel pcg --ab "--omega 16"
- *   alr_sim --gen banded:4096 --kernel spmv --ab "--engine-threads 4" --json
+ *   alr_sim --gen banded:4096 --kernel spmv --ab "--simd scalar" --json
  *   alr_sim --gen stencil2d:64 --kernel spmv --ab "--rcm" \
  *           --fail-on 'cycles>0.1%'
  */
@@ -81,7 +81,6 @@ struct Options
     long statsInterval = 0;
     int maxIterations = 500;
     int threads = 0;
-    int engineThreads = 0;
     int scheduleCache = 0;
     bool ab = false;          ///< --ab given (possibly empty overrides)
     std::string abOverrides;  ///< variant flag string
@@ -100,8 +99,7 @@ usage()
         "               [--report] [--timeline F.json] [--stats-interval N]\n"
         "               [--profile F.json] [--profile-csv F.csv]\n"
         "               [--profile-folded F.folded]\n"
-        "               [--iters N] [--threads N] [--engine-threads N]\n"
-        "               [--schedule-cache N]\n"
+        "               [--iters N] [--threads N] [--schedule-cache N]\n"
         "               [--save F.alr]\n"
         "               [--simd MODE] [--ab \"FLAGS\"] [--fail-on RULE]\n"
         "               [--version]\n"
@@ -122,8 +120,6 @@ usage()
         "                    (--no-simd is kept as an alias for\n"
         "                    --simd scalar)\n"
         "  --threads N       host preprocessing pool size\n"
-        "  --engine-threads N  scheduled SpMV/SpMM functional pass\n"
-        "                    threads (default 1: inline)\n"
         "  --schedule-cache  compiled-schedule MRU cache capacity\n"
         "                    (default 8; evictions recompile)\n"
         "  --ab \"FLAGS\"      in-process A/B: rerun with FLAGS applied\n"
@@ -131,7 +127,7 @@ usage()
         "                    same process) and print the attributed\n"
         "                    cycle/stat/energy diff; engine and kernel\n"
         "                    knobs only (--omega, --simd, --rcm,\n"
-        "                    --engine-threads, ...), no file I/O flags\n"
+        "                    --schedule-cache, ...), no file I/O flags\n"
         "  --fail-on RULE    with --ab: exit 1 when the diff exceeds\n"
         "                    METRIC>NUM[%%], e.g. 'cycles>0.1%%'\n"
         "  --version         print build provenance and exit\n");
@@ -236,9 +232,6 @@ applyArgs(Options &opt, const std::vector<std::string> &args,
             numArg(arg, next(), 1, INT32_MAX, &opt.maxIterations);
         } else if (arg == "--threads") {
             numArg(arg, next(), 1, ThreadPool::kMaxThreads, &opt.threads);
-        } else if (arg == "--engine-threads") {
-            numArg(arg, next(), 1, ThreadPool::kMaxThreads,
-                   &opt.engineThreads);
         } else if (arg == "--schedule-cache") {
             numArg(arg, next(), 1, INT32_MAX, &opt.scheduleCache);
         } else if (arg == "--simd") {
@@ -323,10 +316,8 @@ paramsFrom(const Options &opt)
 {
     AccelParams params;
     params.omega = opt.omega;
-    // Host-side replay knobs: both are bit-identical to the defaults,
-    // exposed for timing the scheduled runs' host cost in isolation.
-    if (opt.engineThreads > 0)
-        params.engineThreads = opt.engineThreads;
+    // Host-side replay knob: bit-identical to the default, exposed for
+    // timing the scheduled runs' host cost in isolation.
     params.simdMode = opt.simdMode;
     if (opt.scheduleCache > 0)
         params.scheduleCacheCapacity = opt.scheduleCache;

@@ -5,11 +5,13 @@
 #   2. TSan build, the parallel-pipeline tests (thread pool, parallel
 #      encode/convert determinism, multi-engine scale-out) with a high
 #      thread count to provoke races.
-#   3. The same TSan build re-run over the suites whose engines run
-#      scheduled kernels on a pool (pwalk, schedule equivalence,
-#      profile, multi-engine, serve) with ALR_THREADS=8, so the pooled
-#      SpMV/SpMM functional pass and the in-order timing walk that
-#      follows it execute on real threads under the race detector.
+#   3. The same TSan build re-run over the suites whose threads share
+#      simulator state (pwalk, schedule equivalence, profile,
+#      multi-engine, serve) with ALR_THREADS=8.  Engine runs execute
+#      on their caller; what still races is the serve workers sharing
+#      fleet engines and their schedule caches, the multi-engine pool,
+#      and the parallel encode/convert on the process-wide pool that
+#      preprocesses every case.
 #
 # Usage: tools/check_sanitizers.sh [build-dir-prefix] [all|asan|tsan]
 # The second argument picks the passes: "asan" runs 1 (plus the forced-
@@ -72,11 +74,11 @@ ALR_THREADS=8 TSAN_OPTIONS="halt_on_error=1" run_suite "${prefix}-tsan" \
     "TSan" \
     -R 'ThreadPool|ParallelPipeline|Multi|Mmio'
 
-# Re-run the suites that drive scheduled kernels on engine pools
-# (same TSan build): the pwalk suite sweeps pool sizes itself, the
-# others prove the pooled functional pass and the timing walk stay
-# bit-identical while racing.
-echo "== TSan: testing scheduled kernels on engine pools =="
+# Re-run the suites whose threads share simulator state (same TSan
+# build): serve workers on shared fleet engines, the multi-engine
+# pool, and the equivalence suites, which sweep the process-wide pool
+# that encodes and converts each case.
+echo "== TSan: testing serve workers, multi-engine and host pools =="
 (cd "${prefix}-tsan" && \
     ALR_THREADS=8 TSAN_OPTIONS="halt_on_error=1" \
     ctest --output-on-failure -j "${jobs}" \
